@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke bench bench-all bench-smoke bench-diff vet fmt lint lint-self fix-smoke ci experiments tools clean
+.PHONY: all build test race fuzz-smoke bench bench-all bench-smoke bench-diff vet fmt lint lint-self fix-smoke wire-deps ci experiments tools clean
 
 # Hot-path packages benchmarked by `make bench`: the data-plane fast
 # path plus the io/fs bridge (vfs/osfs bridge-vs-direct overhead).
@@ -113,12 +113,23 @@ fix-smoke:
 	@rm -f .fixsmoke.1 .fixsmoke.2
 	@echo "fix-smoke: -diff idempotent, no fixes pending"
 
+# The control plane speaks one wire, the binary frame codec. Fail if
+# anything — tests included — pulls the retired encoding/gob or net/rpc
+# packages back into the module's build graph.
+wire-deps:
+	@retired="$$($(GO) list -deps -test ./... | grep -E '^(encoding/gob|net/rpc)$$')"; \
+	if [ -n "$$retired" ]; then \
+		echo "retired wire packages in the build graph:"; echo "$$retired"; exit 1; \
+	fi
+	@echo "wire-deps: no encoding/gob or net/rpc in the build graph"
+
 # The full gate: formatting, vet, padll-lint (plus self-lint and the
-# -fix dry-run smoke), build, race-enabled tests, a plain-mode pass
-# over the packages whose AllocsPerRun guards skip under -race (race
-# instrumentation defeats escape analysis, so alloc counts only mean
-# anything uninstrumented), the doubled control-plane race pass, and a
-# one-iteration benchmark smoke so the hot-path benches can't rot.
+# -fix dry-run smoke), the retired-wire dependency guard, build,
+# race-enabled tests, a plain-mode pass over the packages whose
+# AllocsPerRun guards skip under -race (race instrumentation defeats
+# escape analysis, so alloc counts only mean anything uninstrumented),
+# the doubled control-plane race pass, and a one-iteration benchmark
+# smoke so the hot-path benches can't rot.
 ci:
 	@unformatted="$$(gofmt -l .)"; \
 	if [ -n "$$unformatted" ]; then \
@@ -127,6 +138,7 @@ ci:
 	$(MAKE) lint
 	$(MAKE) lint-self
 	$(MAKE) fix-smoke
+	$(MAKE) wire-deps
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test ./internal/posix/... ./internal/vfs/... ./internal/stage/...

@@ -56,15 +56,16 @@ func main() {
 
 	switch args[0] {
 	case "ping":
-		info, err := h.Ping()
+		hl, err := h.Health(1)
 		if err != nil {
 			fatal(err)
 		}
+		info := hl.Info
 		fmt.Printf("stage %s job=%s host=%s pid=%d user=%s\n",
 			info.StageID, info.JobID, info.Hostname, info.PID, info.User)
 
 	case "stats":
-		st, err := h.Collect()
+		st, err := h.CollectDelta()
 		if err != nil {
 			fatal(err)
 		}

@@ -349,10 +349,10 @@ func (h *Harness) DropNextBatchReply(id string) {
 		return
 	}
 	armed := true
-	n.frames.SetFault(func(dir rpcio.FrameDir, method string) error {
+	n.frames.SetFault(func(dir rpcio.FrameDir, m rpcio.Method) error {
 		// Single-threaded under the loopback's lock; armed needs no
 		// atomicity.
-		if armed && dir == rpcio.FrameReply && method == "Stage.Batch" {
+		if armed && dir == rpcio.FrameReply && m == rpcio.MethodBatch {
 			armed = false
 			return ErrReplyLost
 		}

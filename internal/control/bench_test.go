@@ -14,13 +14,10 @@ import (
 )
 
 // The fleet benchmarks measure one feedback-loop round (RunOnce) at
-// increasing stage counts, over the two wire protocols:
-//
-//   - batched (RemoteConn): one Stage.Batch round trip per stage carrying
-//     the collect; steady-state collects are incremental deltas and
-//     unchanged rates skip the push round trip entirely.
-//   - per-call (PerCallConn): the pre-batch protocol — a full-snapshot
-//     Collect RPC plus a SetRate RPC per stage per round.
+// increasing stage counts over the batched protocol (RemoteConn): one
+// Stage.Batch round trip per stage carrying the collect; steady-state
+// collects are incremental deltas and unchanged rates skip the push
+// round trip entirely.
 //
 // Each stage carries a realistic rule set (the managed control queue
 // plus benchRulesPerStage administrator rules), so a full snapshot has
@@ -67,8 +64,8 @@ func benchController(opts ...Option) *Controller {
 }
 
 // benchFleetTCP serves n stages over real TCP (each on its own loopback
-// listener, as deployed fleets do) and registers them through mkConn.
-func benchFleetTCP(b *testing.B, n int, mkConn func(stage.Info, *rpcio.StageHandle) StageConn, opts ...rpcio.DialOption) *Controller {
+// listener, as deployed fleets do) and registers them.
+func benchFleetTCP(b *testing.B, n int, opts ...rpcio.DialOption) *Controller {
 	b.Helper()
 	ctl := benchController()
 	for i := 0; i < n; i++ {
@@ -84,7 +81,7 @@ func benchFleetTCP(b *testing.B, n int, mkConn func(stage.Info, *rpcio.StageHand
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { h.Close() })
-		if err := ctl.Register(mkConn(stg.Info(), h)); err != nil {
+		if err := ctl.Register(NewRemoteConn(stg.Info(), h)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -203,15 +200,11 @@ func runRounds(b *testing.B, ctl *Controller) {
 }
 
 func BenchmarkControllerRunOnce64(b *testing.B) {
-	runRounds(b, benchFleetTCP(b, 64, func(info stage.Info, h *rpcio.StageHandle) StageConn {
-		return NewRemoteConn(info, h)
-	}))
+	runRounds(b, benchFleetTCP(b, 64))
 }
 
 func BenchmarkControllerRunOnce256(b *testing.B) {
-	runRounds(b, benchFleetTCP(b, 256, func(info stage.Info, h *rpcio.StageHandle) StageConn {
-		return NewRemoteConn(info, h)
-	}))
+	runRounds(b, benchFleetTCP(b, 256))
 }
 
 func BenchmarkControllerRunOnce1024(b *testing.B) {
@@ -244,16 +237,4 @@ func BenchmarkControllerRunOnceTree10240(b *testing.B) {
 // deployment shape — instead of 256 sockets.
 func BenchmarkControllerRunOnceMux256(b *testing.B) {
 	runRounds(b, benchFleetMux(b, 256))
-}
-
-func BenchmarkControllerRunOncePerCall64(b *testing.B) {
-	runRounds(b, benchFleetTCP(b, 64, func(info stage.Info, h *rpcio.StageHandle) StageConn {
-		return NewPerCallConn(info, h)
-	}))
-}
-
-func BenchmarkControllerRunOncePerCall256(b *testing.B) {
-	runRounds(b, benchFleetTCP(b, 256, func(info stage.Info, h *rpcio.StageHandle) StageConn {
-		return NewPerCallConn(info, h)
-	}))
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // StageConn abstracts the control plane's channel to one data-plane
-// stage. Remote stages use the net/rpc transport (rpcio); the cluster
+// stage. Remote stages use the frame transport (rpcio); the cluster
 // simulator and tests drive in-process stages directly. Either way the
 // control plane's logic is identical — the property that lets the same
 // control algorithms run against live and simulated clusters.
@@ -71,9 +71,9 @@ func (c *LocalConn) Close() error { return nil }
 // BatchConn is the optional StageConn extension for peers speaking the
 // batched delta protocol: a round's operations (and optionally a
 // statistics collect) execute in one round trip. The controller type-
-// asserts for it and falls back to per-call RPCs, so wrappers that hide
-// it (fault injectors, legacy adapters) transparently select the
-// per-call path.
+// asserts for it and falls back to one StageConn call per operation, so
+// wrappers that hide it (fault injectors, in-process conns) transparently
+// select that path.
 type BatchConn interface {
 	StageConn
 	// ExecBatch executes ops (and an incremental collect when collect
@@ -127,7 +127,8 @@ type DeltaConn interface {
 
 // RemoteConn drives a stage over the RPC transport, using the batched
 // delta protocol: Collect rides Stage.Batch and after the first
-// exchange only changed queues cross the wire.
+// exchange only changed queues cross the wire; the single-operation
+// methods are one-op batches.
 type RemoteConn struct {
 	info   stage.Info
 	handle *rpcio.StageHandle
@@ -193,49 +194,3 @@ func (c *RemoteConn) SetMode(m stage.Mode) error { return c.handle.SetMode(m) }
 
 // Close implements StageConn.
 func (c *RemoteConn) Close() error { return c.handle.Close() }
-
-// PerCallConn drives a stage with the PR-4-era per-call protocol: one
-// RPC per operation and full-snapshot collects. It exists as the
-// measured baseline for the batched protocol (experiments, benchmarks)
-// and as an escape hatch against stages running an older service.
-type PerCallConn struct {
-	info   stage.Info
-	handle *rpcio.StageHandle
-}
-
-var (
-	_ StageConn   = (*PerCallConn)(nil)
-	_ WireStatser = (*PerCallConn)(nil)
-)
-
-// NewPerCallConn wraps a dialed stage handle with its registered
-// identity, speaking only per-call RPCs.
-func NewPerCallConn(info stage.Info, handle *rpcio.StageHandle) *PerCallConn {
-	return &PerCallConn{info: info, handle: handle}
-}
-
-// Info implements StageConn.
-func (c *PerCallConn) Info() stage.Info { return c.info }
-
-// ApplyRule implements StageConn.
-func (c *PerCallConn) ApplyRule(r policy.Rule) error { return c.handle.ApplyRule(r) }
-
-// RemoveRule implements StageConn.
-func (c *PerCallConn) RemoveRule(id string) (bool, error) { return c.handle.RemoveRule(id) }
-
-// SetRate implements StageConn.
-func (c *PerCallConn) SetRate(id string, rate float64) (bool, error) {
-	return c.handle.SetRate(id, rate)
-}
-
-// Collect implements StageConn with a full-snapshot RPC.
-func (c *PerCallConn) Collect() (stage.Stats, error) { return c.handle.Collect() }
-
-// WireStats implements WireStatser.
-func (c *PerCallConn) WireStats() rpcio.WireStats { return c.handle.WireStats() }
-
-// SetMode implements StageConn.
-func (c *PerCallConn) SetMode(m stage.Mode) error { return c.handle.SetMode(m) }
-
-// Close implements StageConn.
-func (c *PerCallConn) Close() error { return c.handle.Close() }

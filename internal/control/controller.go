@@ -1293,11 +1293,11 @@ func (c *Controller) LastAllocation() map[string]float64 {
 // ---- network server ----
 
 // Server exposes a Controller on the network: a registrar endpoint
-// stages dial at job start; the controller dials back to each stage's
-// control service.
+// stages dial at job start, served over the frame protocol on one
+// listener; the controller dials back to each stage's control service.
 type Server struct {
 	ctl      *Controller
-	stopReg  func()
+	stop     func()
 	listener net.Listener
 }
 
@@ -1307,8 +1307,8 @@ func (c *Controller) Serve(addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("control: listen %s: %w", addr, err)
 	}
-	s := &Server{ctl: c, listener: l}
-	s.stopReg = rpcio.ServeRegistrar(l,
+	fs := rpcio.NewFrameServer()
+	fs.AddRegistrar(
 		func(reg rpcio.Registration) error {
 			h, err := rpcio.DialStage(reg.Addr)
 			if err != nil {
@@ -1318,11 +1318,11 @@ func (c *Controller) Serve(addr string) (*Server, error) {
 		},
 		func(stageID string) { c.Deregister(stageID) },
 	)
-	return s, nil
+	return &Server{ctl: c, listener: l, stop: rpcio.ServeMux(l, fs)}, nil
 }
 
 // Addr returns the registrar's listen address.
 func (s *Server) Addr() string { return s.listener.Addr().String() }
 
 // Close stops the registrar listener.
-func (s *Server) Close() { s.stopReg() }
+func (s *Server) Close() { s.stop() }

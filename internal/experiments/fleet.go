@@ -17,23 +17,20 @@ import (
 // E13 — fleet-scale wire protocol. The batched delta protocol folds a
 // round's collect and rate pushes into one Stage.Batch round trip per
 // stage and returns incremental per-queue deltas; this experiment
-// measures what that buys at increasing fleet sizes against the
-// pre-batch per-call protocol (one full-snapshot Collect RPC plus a
-// SetRate RPC per stage per round).
+// measures steady-state control rounds at increasing fleet sizes, and
+// counts what one batch saves over one round trip per operation.
 
-// FleetRow is one measured point of the protocol sweep.
+// FleetRow is one measured point of the fleet sweep.
 type FleetRow struct {
-	// Protocol is "batched" (RemoteConn) or "per-call" (PerCallConn).
-	Protocol string
-	// Transport is "tcp" or "loopback".
+	// Transport is "tcp" or "loopback" (the encoded in-process
+	// transport: the same frames, no sockets).
 	Transport string
 	// Stages is the registered fleet size.
 	Stages int
 	// RoundLatency is the mean wall time of one steady-state RunOnce.
 	RoundLatency time.Duration
 	// RPCs and WireBytes are per-round totals from the controller's
-	// round accounting (WireBytes is zero over the loopback transport,
-	// which has no socket).
+	// round accounting.
 	RPCs      int
 	WireBytes uint64
 }
@@ -43,8 +40,9 @@ type FleetResult struct {
 	Rows []FleetRow
 	// Management-round comparison on one stage: the RPC count for a
 	// controller round that collects stats, retunes the control rate,
-	// and installs fleetMgmtRules policy rules.
-	PerCallMgmtRPCs int
+	// and installs fleetMgmtRules policy rules, issued one operation per
+	// round trip versus as one batch.
+	PerOpMgmtRPCs   int
 	BatchedMgmtRPCs int
 }
 
@@ -74,7 +72,7 @@ func fleetStage(i int, clk clock.Clock) *stage.Stage {
 }
 
 // fleetPoint registers n stages and times steady-state control rounds.
-func fleetPoint(n int, batched, loopback bool) (FleetRow, error) {
+func fleetPoint(n int, loopback bool) (FleetRow, error) {
 	clk := clock.NewReal()
 	ctl := control.New(clk,
 		control.WithClusterLimit(1_000_000),
@@ -94,7 +92,7 @@ func fleetPoint(n int, batched, loopback bool) (FleetRow, error) {
 		stg := fleetStage(i, clk)
 		var h *rpcio.StageHandle
 		if loopback {
-			h = rpcio.LoopbackStage(rpcio.NewStageService(stg))
+			h = rpcio.EncodedLoopbackStage(rpcio.NewStageService(stg))
 		} else {
 			l, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -108,13 +106,7 @@ func fleetPoint(n int, batched, loopback bool) (FleetRow, error) {
 			}
 			cleanups = append(cleanups, func() { _ = h.Close(); stop() })
 		}
-		var conn control.StageConn
-		if batched {
-			conn = control.NewRemoteConn(stg.Info(), h)
-		} else {
-			conn = control.NewPerCallConn(stg.Info(), h)
-		}
-		if err := ctl.Register(conn); err != nil {
+		if err := ctl.Register(control.NewRemoteConn(stg.Info(), h)); err != nil {
 			return FleetRow{}, err
 		}
 		stg.Offer(&posix.Request{Op: posix.OpOpen, JobID: stg.Info().JobID}, float64(100+i), time.Second)
@@ -130,7 +122,6 @@ func fleetPoint(n int, batched, loopback bool) (FleetRow, error) {
 	mean := clk.Now().Sub(start) / fleetIters
 
 	row := FleetRow{
-		Protocol:     map[bool]string{true: "batched", false: "per-call"}[batched],
 		Transport:    map[bool]string{true: "loopback", false: "tcp"}[loopback],
 		Stages:       n,
 		RoundLatency: mean,
@@ -144,9 +135,10 @@ func fleetPoint(n int, batched, loopback bool) (FleetRow, error) {
 
 // fleetManagementRound counts the RPC round trips one stage costs for a
 // management round — collect stats, retune the control rate, install
-// fleetMgmtRules rules — under each protocol. The counts come from the
-// stage service itself, not from protocol arithmetic.
-func fleetManagementRound() (perCall, batchedCalls int, err error) {
+// fleetMgmtRules rules — issued one operation per round trip and as one
+// batch. The counts come from the stage service itself, not from
+// protocol arithmetic.
+func fleetManagementRound() (perOp, batchedCalls int, err error) {
 	mgmtRules := func() []policy.Rule {
 		rules := make([]policy.Rule, fleetMgmtRules)
 		for i := range rules {
@@ -157,10 +149,10 @@ func fleetManagementRound() (perCall, batchedCalls int, err error) {
 
 	clk := clock.NewReal()
 
-	// Per-call protocol: one RPC per operation.
+	// One round trip per operation: the handle's single-op methods.
 	svc := rpcio.NewStageService(fleetStage(0, clk))
-	h := rpcio.LoopbackStage(svc)
-	if _, err = h.Collect(); err != nil {
+	h := rpcio.EncodedLoopbackStage(svc)
+	if _, err = h.CollectDelta(); err != nil {
 		return 0, 0, err
 	}
 	if _, err = h.SetRate("admin-00", 2000); err != nil {
@@ -171,11 +163,11 @@ func fleetManagementRound() (perCall, batchedCalls int, err error) {
 			return 0, 0, err
 		}
 	}
-	perCall = int(svc.Served().Calls)
+	perOp = int(svc.Served().Calls)
 
-	// Batched protocol: the same round as one Stage.Batch RPC.
+	// The same round as one Stage.Batch RPC.
 	svc2 := rpcio.NewStageService(fleetStage(1, clk))
-	h2 := rpcio.LoopbackStage(svc2)
+	h2 := rpcio.EncodedLoopbackStage(svc2)
 	ops := []rpcio.StageOp{{Kind: rpcio.OpSetRate, ID: "admin-00", Rate: 2000}}
 	for _, r := range mgmtRules() {
 		ops = append(ops, rpcio.StageOp{Kind: rpcio.OpApplyRule, Rule: r})
@@ -183,31 +175,29 @@ func fleetManagementRound() (perCall, batchedCalls int, err error) {
 	if _, _, err = h2.ExecBatch(ops, true); err != nil {
 		return 0, 0, err
 	}
-	return perCall, int(svc2.Served().Calls), nil
+	return perOp, int(svc2.Served().Calls), nil
 }
 
-// FleetScale runs the E13 sweep: both protocols over TCP at 16/64/256
-// stages, plus a 1024-stage batched point over the in-process loopback
-// transport (a single machine cannot hold 1024 live TCP stage services
-// comfortably, and loopback runs the identical protocol).
+// FleetScale runs the E13 sweep: 16/64/256 stages over TCP, plus a
+// 1024-stage point over the encoded in-process transport (a single
+// machine cannot hold 1024 live TCP stage services comfortably, and the
+// loopback carries the identical frames).
 func FleetScale() (FleetResult, error) {
 	var res FleetResult
 	for _, n := range []int{16, 64, 256} {
-		for _, batched := range []bool{false, true} {
-			row, err := fleetPoint(n, batched, false)
-			if err != nil {
-				return FleetResult{}, err
-			}
-			res.Rows = append(res.Rows, row)
+		row, err := fleetPoint(n, false)
+		if err != nil {
+			return FleetResult{}, err
 		}
+		res.Rows = append(res.Rows, row)
 	}
-	row, err := fleetPoint(1024, true, true)
+	row, err := fleetPoint(1024, true)
 	if err != nil {
 		return FleetResult{}, err
 	}
 	res.Rows = append(res.Rows, row)
 
-	res.PerCallMgmtRPCs, res.BatchedMgmtRPCs, err = fleetManagementRound()
+	res.PerOpMgmtRPCs, res.BatchedMgmtRPCs, err = fleetManagementRound()
 	if err != nil {
 		return FleetResult{}, err
 	}
@@ -217,21 +207,21 @@ func FleetScale() (FleetResult, error) {
 // Render formats the E13 tables.
 func (r FleetResult) Render() string {
 	var b strings.Builder
-	b.WriteString("E13 — fleet-scale wire protocol: batched deltas vs per-call RPCs\n")
-	fmt.Fprintf(&b, "  %-9s %-9s %7s %14s %11s %13s\n",
-		"protocol", "transport", "stages", "round latency", "rpcs/round", "wire B/round")
+	b.WriteString("E13 — fleet-scale wire protocol: batched delta rounds\n")
+	fmt.Fprintf(&b, "  %-9s %7s %14s %11s %13s\n",
+		"transport", "stages", "round latency", "rpcs/round", "wire B/round")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-9s %-9s %7d %14v %11d %13d\n",
-			row.Protocol, row.Transport, row.Stages,
+		fmt.Fprintf(&b, "  %-9s %7d %14v %11d %13d\n",
+			row.Transport, row.Stages,
 			row.RoundLatency.Round(time.Microsecond), row.RPCs, row.WireBytes)
 	}
 	fmt.Fprintf(&b, "  management round (collect + set-rate + %d rule installs) on one stage:\n", fleetMgmtRules)
 	ratio := "n/a"
 	if r.BatchedMgmtRPCs > 0 {
-		ratio = fmt.Sprintf("%.0fx fewer round trips", float64(r.PerCallMgmtRPCs)/float64(r.BatchedMgmtRPCs))
+		ratio = fmt.Sprintf("%.0fx fewer round trips", float64(r.PerOpMgmtRPCs)/float64(r.BatchedMgmtRPCs))
 	}
-	fmt.Fprintf(&b, "    per-call: %d RPCs   batched: %d RPC   (%s)\n",
-		r.PerCallMgmtRPCs, r.BatchedMgmtRPCs, ratio)
+	fmt.Fprintf(&b, "    one op per RPC: %d RPCs   batched: %d RPC   (%s)\n",
+		r.PerOpMgmtRPCs, r.BatchedMgmtRPCs, ratio)
 	b.WriteString("  (steady-state batched rounds skip unchanged-rate pushes entirely and\n")
 	b.WriteString("   collect incremental deltas, so wire bytes stay flat as rules grow)\n")
 	return b.String()

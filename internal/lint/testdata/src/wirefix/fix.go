@@ -4,10 +4,18 @@
 // interface values, channels or funcs at all.
 package wirefix
 
-// transport mimics rpcio's Call shape: (method string, args, reply).
+// Method mimics rpcio's typed wire method IDs.
+type Method uint8
+
+const (
+	methodExec  Method = 1
+	methodBatch Method = 2
+)
+
+// transport mimics rpcio's Call shape: (m Method, args, reply).
 type transport struct{}
 
-func (t *transport) Call(method string, args any, reply any) error {
+func (t *transport) Call(m Method, args any, reply any) error {
 	return nil
 }
 
@@ -46,13 +54,13 @@ type itemRow struct {
 func exec(t *transport) error {
 	var a CallArgs
 	var r CallReply
-	return t.Call("Stage.Exec", &a, &r)
+	return t.Call(methodExec, &a, &r)
 }
 
 // execBatch keeps the annotated pair live at a call site too.
 func (h *handle) execBatch() error {
 	h.bargs.Ops = append(h.bargs.Ops[:0], 1)
-	return h.t.Call("Stage.Batch", &h.bargs, &h.breply)
+	return h.t.Call(methodBatch, &h.bargs, &h.breply)
 }
 
 type handle struct {

@@ -15,7 +15,7 @@ import (
 //
 // Wire types are discovered two ways: explicit //lint:wire annotations,
 // and concrete args/replies at "Call"-shaped RPC sites (method named
-// Call taking (string, args, reply)); the field graph is then closed
+// Call taking (Method, args, reply)); the field graph is then closed
 // transitively across packages.
 //
 // The zero-before-decode half of this analyzer retired with the gob
@@ -214,8 +214,8 @@ func embeddedName(expr ast.Expr) *ast.Ident {
 }
 
 // isCallShaped reports whether call is an RPC dispatch: a method named
-// Call taking (method string, args, reply) — the rpcio Transport's
-// shape.
+// Call taking (m Method, args, reply) — the rpcio Transport's shape,
+// where Method is a named integer type numbering the wire methods.
 func isCallShaped(pkg *Package, call *ast.CallExpr) bool {
 	if len(call.Args) != 3 {
 		return false
@@ -232,6 +232,10 @@ func isCallShaped(pkg *Package, call *ast.CallExpr) bool {
 	if !ok || sig.Recv() == nil || sig.Params().Len() != 3 {
 		return false
 	}
-	first, ok := sig.Params().At(0).Type().Underlying().(*types.Basic)
-	return ok && first.Info()&types.IsString != 0
+	first, ok := sig.Params().At(0).Type().(*types.Named)
+	if !ok || first.Obj().Name() != "Method" {
+		return false
+	}
+	basic, ok := first.Underlying().(*types.Basic)
+	return ok && basic.Info()&types.IsInteger != 0
 }

@@ -15,6 +15,7 @@ import (
 func TestRateCounterConcurrentAddsConserveTotal(t *testing.T) {
 	clk := clock.NewReal()
 	rc := NewRateCounter("c", clk, 10*time.Millisecond)
+	start := rc.winStart // no goroutine has touched rc yet
 	const (
 		workers = 8
 		perG    = 20000
@@ -58,17 +59,16 @@ func TestRateCounterConcurrentAddsConserveTotal(t *testing.T) {
 	// the flushed partial tail.
 	s := rc.Flush()
 	var events float64
-	prev := time.Time{}
-	for i, p := range s.Points {
-		width := rc.window.Seconds()
-		if i > 0 {
-			width = p.T.Sub(prev).Seconds()
-		}
-		events += p.Value * width
+	prev := start
+	for _, p := range s.Points {
+		events += p.Value * p.T.Sub(prev).Seconds()
 		prev = p.T
 	}
-	// The first sample's width is one full window by construction; float
-	// accumulation keeps this exact well within 0.5 for 160k events.
+	// Every sample spans from the previous one (the first from the
+	// counter's start): a full window for a closed sample, the partial
+	// tail for the flushed one — which is the only sample when all adds
+	// finish inside the first window. Float accumulation keeps this exact
+	// well within 0.5 for 160k events.
 	if diff := events - float64(workers*perG); diff > 0.5 || diff < -0.5 {
 		t.Fatalf("window samples account for %.1f events, want %d", events, workers*perG)
 	}

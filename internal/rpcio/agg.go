@@ -19,8 +19,7 @@
 //
 // Aggregator services are hosted on the same FrameServer mux as stage
 // services: the attach handshake resolves an aggregator ID to a channel
-// exactly as it does a stage ID. The protocol is frames-only; there is
-// no gob form.
+// exactly as it does a stage ID.
 package rpcio
 
 import (
@@ -206,7 +205,7 @@ func (h *AggHandle) WireStats() WireStats { return h.t.WireStats() }
 // Attach probes the aggregator's identity and membership.
 func (h *AggHandle) Attach(seq uint64) (AggInfo, error) {
 	var info AggInfo
-	err := h.t.Call("Agg.Attach", &AggAttachArgs{Seq: seq}, &info)
+	err := h.t.Call(MethodAggAttach, &AggAttachArgs{Seq: seq}, &info)
 	return info, err
 }
 
@@ -218,7 +217,7 @@ func (h *AggHandle) Round(grants []JobGrant, collect bool, reply *AggRoundReply)
 	defer h.mu.Unlock()
 	h.args.Grants = grants
 	h.args.Collect = collect
-	err := h.t.Call("Agg.Round", &h.args, reply)
+	err := h.t.Call(MethodAggRound, &h.args, reply)
 	h.args.Grants = nil
 	return err
 }

@@ -141,10 +141,10 @@ func TestAggChannelMismatchErrors(t *testing.T) {
 	backend.reply = cannedAggReply("agg-only")
 	lb := NewEncodedLoopbackAgg(NewAggService(backend))
 
-	var info AggInfo
-	if err := lb.Call("Stage.Ping", struct{}{}, &info); err == nil {
-		t.Fatal("Stage.Ping on an aggregator channel should error")
+	var health StageHealth
+	if err := lb.Call(MethodHealth, &HealthProbe{}, &health); err == nil {
+		t.Fatal("Stage.Health on an aggregator channel should error")
 	} else if !strings.Contains(err.Error(), "aggregator") {
-		t.Fatalf("Stage.Ping error %q should name the aggregator mismatch", err)
+		t.Fatalf("Stage.Health error %q should name the aggregator mismatch", err)
 	}
 }

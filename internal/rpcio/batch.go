@@ -1,18 +1,16 @@
 // The batched, delta-encoded control protocol.
 //
-// The per-call protocol costs one round trip per operation per stage
-// per control round, and every collect ships the stage's full Stats
-// blob even when nothing moved — at fleet scale the controller's
-// feedback loop (§III-C) is then bounded by the wire, not by the
-// allocation algorithm. Stage.Batch collapses a round's worth of
-// operations for one stage into a single RPC, and its collect half is
-// incremental: the stage remembers, per client, the last snapshot that
-// client merged (identified by an epoch+generation pair) and sends only
-// the queues that changed since. A client whose acknowledgment doesn't
-// match —
-// first contact, a restarted stage (fresh epoch), or an evicted/
-// re-registered one — gets a full snapshot, so correctness never
-// depends on both sides staying in sync.
+// One round trip per operation per stage per control round, with every
+// collect shipping the stage's full Stats blob even when nothing moved,
+// would bound the controller's feedback loop (§III-C) by the wire, not
+// by the allocation algorithm at fleet scale. Stage.Batch collapses a
+// round's worth of operations for one stage into a single RPC, and its
+// collect half is incremental: the stage remembers, per client, the
+// last snapshot that client merged (identified by an epoch+generation
+// pair) and sends only the queues that changed since. A client whose
+// acknowledgment doesn't match — first contact, a restarted stage
+// (fresh epoch), or an evicted/re-registered one — gets a full
+// snapshot, so correctness never depends on both sides staying in sync.
 package rpcio
 
 import (
@@ -53,10 +51,9 @@ type StageOp struct {
 	Mode stage.Mode  // OpSetMode
 }
 
-// OpResult reports one op's outcome. Found mirrors the per-call
-// protocol's booleans: whether the rule existed for OpRemoveRule (it
-// was removed) and OpSetRate (it was retuned); always true for
-// OpApplyRule and OpSetMode.
+// OpResult reports one op's outcome. Found reports whether the rule
+// existed for OpRemoveRule (it was removed) and OpSetRate (it was
+// retuned); it is always true for OpApplyRule and OpSetMode.
 //
 //lint:wire
 type OpResult struct {
@@ -142,13 +139,14 @@ var epochFallback atomic.Uint64
 // ServiceStats counts what a StageService has served, for observability
 // (the replayer prints them at shutdown).
 type ServiceStats struct {
-	// Calls is the number of control RPCs served (batched or not).
+	// Calls is the number of control RPCs served (batches and health
+	// probes).
 	Calls uint64
 	// BatchedOps is the number of operations that arrived inside
 	// Stage.Batch calls.
 	BatchedOps uint64
 	// DeltaCollects and FullCollects split batched collects by reply
-	// form; per-call Stage.Collect RPCs count as FullCollects.
+	// form.
 	DeltaCollects uint64
 	FullCollects  uint64
 }
@@ -261,9 +259,9 @@ func (s *StageService) Batch(args BatchArgs, reply *BatchReply) error {
 // collectDelta snapshots the stage and encodes it as a delta against
 // the client's acknowledged generation, or a full snapshot when the ack
 // doesn't match. The reply owns its data: queue values are copied out
-// of the tracker's scratch buffer, never aliased, because net/rpc
-// encodes the reply after this method returns and may serve a
-// concurrent call that rewrites the scratch.
+// of the tracker's scratch buffer, never aliased, because the frame
+// server encodes the reply after this method returns, and another
+// connection may meanwhile collect and rewrite the scratch.
 func (s *StageService) collectDelta(clientID, ackEpoch, ackGen uint64, d *StatsDelta) {
 	t := s.tracker(clientID)
 	t.mu.Lock()
@@ -502,7 +500,7 @@ func (h *StageHandle) execBatch(ops []StageOp, collect bool, dst *stage.Stats, s
 	h.bargs.Collect = collect
 	h.bargs.AckEpoch, h.bargs.AckGen = h.dstate.Ack()
 	resetReply(&h.breply)
-	err = h.t.Call("Stage.Batch", &h.bargs, &h.breply)
+	err = h.t.Call(MethodBatch, &h.bargs, &h.breply)
 	h.bargs.Ops = nil
 	if err != nil {
 		return nil, false, err

@@ -1,8 +1,6 @@
 package rpcio
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"net"
 	"reflect"
@@ -15,16 +13,17 @@ import (
 	"padll/internal/stage"
 )
 
-// gobBytes encodes v with a fresh encoder so two values are comparable
-// byte-for-byte (gob streams are self-describing; sharing an encoder
-// would make the second value's bytes depend on the first).
-func gobBytes(t *testing.T, v any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatalf("gob encode: %v", err)
+// sameStats reports whether two snapshots are equal field by field,
+// treating a nil and an empty queue slice alike: a merged snapshot and
+// a direct collect may differ only in that representation detail.
+func sameStats(a, b stage.Stats) bool {
+	if len(a.Queues) == 0 {
+		a.Queues = nil
 	}
-	return buf.Bytes()
+	if len(b.Queues) == 0 {
+		b.Queues = nil
+	}
+	return reflect.DeepEqual(a, b)
 }
 
 func TestBatchOpsMatchPerCallSemantics(t *testing.T) {
@@ -77,14 +76,14 @@ func TestBatchRejectsUnknownOpKindAtomically(t *testing.T) {
 
 // TestDeltaCollectMatchesDirectCollect is the core property of the
 // incremental protocol: at every point in a random op/traffic history,
-// the client's merged snapshot is gob-byte-identical to what a direct
-// Collect on the stage returns at the same instant.
+// the client's merged snapshot equals what a direct Collect on the
+// stage returns at the same instant.
 func TestDeltaCollectMatchesDirectCollect(t *testing.T) {
 	for _, seed := range []int64{1, 7, 2022} {
 		clk := clock.NewSim(epoch)
 		stg := stage.New(stage.Info{StageID: "s1", JobID: "j1", Hostname: "n1", PID: 7}, clk)
 		svc := NewStageService(stg)
-		h := LoopbackStage(svc)
+		h := EncodedLoopbackStage(svc)
 		rng := rand.New(rand.NewSource(seed))
 
 		ids := []string{"r0", "r1", "r2", "r3", "r4", "r5"}
@@ -116,7 +115,7 @@ func TestDeltaCollectMatchesDirectCollect(t *testing.T) {
 				t.Fatal(err)
 			}
 			direct := stg.Collect()
-			if !bytes.Equal(gobBytes(t, merged), gobBytes(t, direct)) {
+			if !sameStats(merged, direct) {
 				t.Fatalf("seed %d round %d: merged snapshot diverged from direct collect\nmerged: %+v\ndirect: %+v",
 					seed, round, merged, direct)
 			}
@@ -137,8 +136,8 @@ type switchableTransport struct {
 	inner Transport
 }
 
-func (s *switchableTransport) Call(method string, args, reply any) error {
-	return s.inner.Call(method, args, reply)
+func (s *switchableTransport) Call(m Method, args, reply any) error {
+	return s.inner.Call(m, args, reply)
 }
 func (s *switchableTransport) WireStats() WireStats { return s.inner.WireStats() }
 func (s *switchableTransport) Addr() string         { return s.inner.Addr() }
@@ -154,7 +153,7 @@ func TestDeltaFallsBackToFullAfterStageRestart(t *testing.T) {
 	stg1 := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	stg1.ApplyRule(policy.Rule{ID: "old-only", Rate: 100})
 	stg1.ApplyRule(policy.Rule{ID: "shared", Rate: 200})
-	sw := &switchableTransport{inner: NewLoopback(NewStageService(stg1))}
+	sw := &switchableTransport{inner: NewEncodedLoopback(NewStageService(stg1))}
 	h := NewStageHandle(sw)
 
 	for i := 0; i < 3; i++ {
@@ -166,14 +165,14 @@ func TestDeltaFallsBackToFullAfterStageRestart(t *testing.T) {
 	// The stage process restarts: fresh state, fresh service epoch.
 	stg2 := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	stg2.ApplyRule(policy.Rule{ID: "shared", Rate: 999})
-	sw.inner = NewLoopback(NewStageService(stg2))
+	sw.inner = NewEncodedLoopback(NewStageService(stg2))
 
 	merged, err := h.CollectDelta()
 	if err != nil {
 		t.Fatal(err)
 	}
 	direct := stg2.Collect()
-	if !bytes.Equal(gobBytes(t, merged), gobBytes(t, direct)) {
+	if !sameStats(merged, direct) {
 		t.Fatalf("merged snapshot after restart diverged:\nmerged: %+v\ndirect: %+v", merged, direct)
 	}
 	for _, q := range merged.Queues {
@@ -198,7 +197,7 @@ func TestDeltaTrackerPerClientBaselines(t *testing.T) {
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	stg.ApplyRule(policy.Rule{ID: "q", Match: policy.Matcher{JobID: "j1"}, Rate: 500})
 	svc := NewStageService(stg)
-	a, b := LoopbackStage(svc), LoopbackStage(svc)
+	a, b := EncodedLoopbackStage(svc), EncodedLoopbackStage(svc)
 
 	const rounds = 4
 	for i := 0; i < rounds; i++ {
@@ -210,7 +209,7 @@ func TestDeltaTrackerPerClientBaselines(t *testing.T) {
 				t.Fatal(err)
 			}
 			direct := stg.Collect()
-			if !bytes.Equal(gobBytes(t, merged), gobBytes(t, direct)) {
+			if !sameStats(merged, direct) {
 				t.Fatalf("round %d: interleaved client diverged\nmerged: %+v\ndirect: %+v", i, merged, direct)
 			}
 		}
@@ -236,12 +235,12 @@ func TestDeltaTrackerEvictionFallsBackToFull(t *testing.T) {
 	stg.ApplyRule(policy.Rule{ID: "q", Rate: 500})
 	svc := NewStageService(stg)
 
-	first := LoopbackStage(svc)
+	first := EncodedLoopbackStage(svc)
 	if _, err := first.CollectDelta(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < maxDeltaTrackers; i++ {
-		if _, err := LoopbackStage(svc).CollectDelta(); err != nil {
+		if _, err := EncodedLoopbackStage(svc).CollectDelta(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +248,7 @@ func TestDeltaTrackerEvictionFallsBackToFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(gobBytes(t, merged), gobBytes(t, stg.Collect())) {
+	if !sameStats(merged, stg.Collect()) {
 		t.Fatal("evicted client's merged snapshot diverged from direct collect")
 	}
 	if fulls, _ := first.CollectCounts(); fulls != 2 {
@@ -304,11 +303,9 @@ func TestBatchStaleGenerationGetsFull(t *testing.T) {
 }
 
 // TestDeltaCollectOverWire runs the incremental protocol over the real
-// TCP/gob transport (ServeService + DialStage) instead of a Loopback.
-// This is the regression test for reply reuse: gob omits zero-valued
-// fields on encode and leaves absent fields untouched on decode, so a
-// handle that reuses its reply without zeroing it would decode every
-// post-full incremental reply (Full=false omitted on the wire) with a
+// TCP frame transport (ServeService + DialStage). It is the regression
+// test for reply reuse: a handle that reused its reply without fully
+// overwriting it would decode a post-full incremental reply with a
 // stale Full=true and wipe unchanged queues from the merged snapshot.
 func TestDeltaCollectOverWire(t *testing.T) {
 	clk := clock.NewSim(epoch)
@@ -336,7 +333,7 @@ func TestDeltaCollectOverWire(t *testing.T) {
 			t.Fatal(err)
 		}
 		direct := stg.Collect()
-		if !bytes.Equal(gobBytes(t, merged), gobBytes(t, direct)) {
+		if !sameStats(merged, direct) {
 			t.Fatalf("%s: merged snapshot diverged from direct collect\nmerged: %+v\ndirect: %+v", round, merged, direct)
 		}
 		return merged
@@ -369,10 +366,9 @@ func TestDeltaCollectOverWire(t *testing.T) {
 	}
 }
 
-// TestBatchResultsOverWireDropStaleFound: gob omits Found=false on
-// encode, so a reused reply would leave a previous round's Found=true in
-// place. Over the real transport, ops that fail after ops that succeeded
-// must still decode as Found=false.
+// TestBatchResultsOverWireDropStaleFound: a reused reply must not leave
+// a previous round's Found=true in place. Over the real transport, ops
+// that fail after ops that succeeded must still decode as Found=false.
 func TestBatchResultsOverWireDropStaleFound(t *testing.T) {
 	_, h := servedStage(t)
 	results, _, err := h.ExecBatch([]StageOp{
@@ -400,7 +396,7 @@ func TestBatchResultsOverWireDropStaleFound(t *testing.T) {
 func TestServiceStatsCountBatchTraffic(t *testing.T) {
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch))
 	svc := NewStageService(stg)
-	h := LoopbackStage(svc)
+	h := EncodedLoopbackStage(svc)
 
 	if _, _, err := h.ExecBatch([]StageOp{
 		{Kind: OpApplyRule, Rule: policy.Rule{ID: "a", Rate: 100}},
@@ -440,23 +436,6 @@ func BenchmarkCollectDeltaSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := h.CollectDeltaInto(&st); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCollectFullSnapshot is the same round over the per-call
-// protocol (full Stats every time), for comparison with the delta path.
-func BenchmarkCollectFullSnapshot(b *testing.B) {
-	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clock.NewSim(epoch))
-	for _, id := range []string{"a", "b", "c", "d"} {
-		stg.ApplyRule(policy.Rule{ID: id, Rate: 1000})
-	}
-	h := LoopbackStage(NewStageService(stg))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := h.Collect(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -128,7 +128,7 @@ func TestCallDeadlineRecoversFromDroppedResponses(t *testing.T) {
 	// client must hit its per-call deadline, redial, and retry.
 	_, h := flakyServedStage(t, Flakiness{DropEvery: 2})
 	for i := 0; i < 6; i++ {
-		if _, err := h.Ping(); err != nil {
+		if _, err := ping(h); err != nil {
 			t.Fatalf("Ping %d: %v", i, err)
 		}
 	}
@@ -139,7 +139,7 @@ func TestRedialAfterConnectionDeath(t *testing.T) {
 	// must keep succeeding by redialing.
 	_, h := flakyServedStage(t, Flakiness{FailAfter: 6})
 	for i := 0; i < 10; i++ {
-		if _, err := h.Ping(); err != nil {
+		if _, err := ping(h); err != nil {
 			t.Fatalf("Ping %d: %v", i, err)
 		}
 	}
@@ -154,7 +154,7 @@ func TestDuplicatedResponsesDoNotBreakCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := h.Ping(); err != nil {
+		if _, err := ping(h); err != nil {
 			t.Fatalf("Ping %d: %v", i, err)
 		}
 	}
@@ -187,7 +187,7 @@ func TestCallsFailFastAfterBudgetAgainstDeadPeer(t *testing.T) {
 	_ = l.Close()
 
 	start := time.Now()
-	if _, err := h.Ping(); err == nil {
+	if _, err := ping(h); err == nil {
 		t.Fatal("Ping against a dead stage succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
@@ -236,14 +236,9 @@ func TestHealthRoundTripCarriesDegradedState(t *testing.T) {
 }
 
 func TestProbeController(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := ServeRegistrar(l, func(Registration) error { return nil }, nil)
-	defer stop()
+	addr := serveRegistrar(t, func(Registration) error { return nil }, nil)
 
-	if err := ProbeController(l.Addr().String(), time.Second); err != nil {
+	if err := ProbeController(addr, time.Second); err != nil {
 		t.Fatalf("probe of live controller: %v", err)
 	}
 	if err := ProbeController("127.0.0.1:1", 200*time.Millisecond); err == nil {
@@ -252,8 +247,8 @@ func TestProbeController(t *testing.T) {
 }
 
 func TestStageStatsDegradedSurvivesWire(t *testing.T) {
-	// stage.Stats gained Degraded/DegradedSeconds; the Collect RPC reply
-	// must carry them.
+	// stage.Stats gained Degraded/DegradedSeconds; a collect over the
+	// wire must carry them.
 	clk := clock.NewSim(epoch)
 	stg := stage.New(stage.Info{StageID: "s1"}, clk)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -270,7 +265,7 @@ func TestStageStatsDegradedSurvivesWire(t *testing.T) {
 
 	stg.SetDegraded(true)
 	clk.Advance(30 * time.Second)
-	st, err := h.Collect()
+	st, err := h.CollectDelta()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,19 +275,14 @@ func TestStageStatsDegradedSurvivesWire(t *testing.T) {
 }
 
 func TestServerSideErrorsAreNotRetried(t *testing.T) {
-	// An rpc.ServerError means the wire worked; retrying it would mask
-	// real service refusals (and triple every failure's latency).
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A RemoteError means the wire worked; retrying it would mask real
+	// service refusals (and triple every failure's latency).
 	var regCalls atomic.Int32
-	stop := ServeRegistrar(l, func(Registration) error {
+	addr := serveRegistrar(t, func(Registration) error {
 		regCalls.Add(1)
 		return errors.New("registry full")
 	}, nil)
-	defer stop()
-	err = RegisterWithController(l.Addr().String(), stage.Info{StageID: "sX"}, "127.0.0.1:9")
+	err := RegisterWithController(addr, stage.Info{StageID: "sX"}, "127.0.0.1:9")
 	if err == nil || !strings.Contains(err.Error(), "registry full") {
 		t.Fatalf("err = %v, want the service refusal", err)
 	}

@@ -236,7 +236,7 @@ func (d *frameDialer) acquire(addr string, dialTO time.Duration) (*frameConn, er
 
 	conn, err := net.DialTimeout("tcp", addr, dialTO)
 	if err != nil {
-		return nil, fmt.Errorf("rpcio: dial stage %s: %w", addr, err)
+		return nil, fmt.Errorf("rpcio: dial %s: %w", addr, err)
 	}
 	fc := &frameConn{
 		addr:       addr,
@@ -415,7 +415,7 @@ func frameStart(b []byte) []byte {
 // connection is killed — a late reply on a stream with no waiter would
 // be discarded by the demux loop, but the connection's framing state
 // can no longer be trusted to be timely.
-func (t *frameTransport) roundTrip(fc *frameConn, call *frameCall, m methodID, channel uint32) error {
+func (t *frameTransport) roundTrip(fc *frameConn, call *frameCall, m Method, channel uint32) error {
 	stream, err := fc.register(call)
 	if err != nil {
 		return err
@@ -441,7 +441,7 @@ func (t *frameTransport) roundTrip(fc *frameConn, call *frameCall, m methodID, c
 		select {
 		case <-call.ch:
 		case <-t.clk.After(t.timeout):
-			fc.kill(fmt.Errorf("rpcio: %s: %s deadline %v exceeded", t.addr, methodName(m), t.timeout))
+			fc.kill(fmt.Errorf("rpcio: %s: %v deadline %v exceeded", t.addr, m, t.timeout))
 			<-call.ch // kill (or the racing reader) completes the call
 			if call.err == nil {
 				break // the reply raced the deadline and won
@@ -458,21 +458,8 @@ func (t *frameTransport) roundTrip(fc *frameConn, call *frameCall, m methodID, c
 	return nil
 }
 
-// methodName renders a methodID for error messages.
-func methodName(m methodID) string {
-	for name, id := range methodIDs {
-		if id == m {
-			return name
-		}
-	}
-	if m == methodAttach {
-		return "attach"
-	}
-	return fmt.Sprintf("method(%d)", m)
-}
-
 // callOnce performs one encode → frame → decode attempt.
-func (t *frameTransport) callOnce(fc *frameConn, m methodID, args, reply any) error {
+func (t *frameTransport) callOnce(fc *frameConn, m Method, args, reply any) error {
 	t.calls.Add(1)
 	channel, err := fc.channelFor(t, t.stageID)
 	if err != nil {
@@ -502,11 +489,7 @@ func (t *frameTransport) callOnce(fc *frameConn, m methodID, args, reply any) er
 // transport errors invalidate the connection and retry
 // under seeded backoff; RemoteError (the peer answered "no") is
 // returned as-is.
-func (t *frameTransport) Call(method string, args, reply any) error {
-	m, ok := methodIDs[method]
-	if !ok {
-		return fmt.Errorf("rpcio: unknown method %q", method)
-	}
+func (t *frameTransport) Call(m Method, args, reply any) error {
 	r := newRetrier(t.backoff)
 	for {
 		fc, err := t.ensureConn()

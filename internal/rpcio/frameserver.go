@@ -1,19 +1,16 @@
 // Server half of the multiplexed frame transport.
 //
-// A FrameServer hosts any number of StageServices behind one listener:
-// clients address a service by channel number, resolved once per
-// connection per stage via the attach handshake (methodAttach with the
-// stage ID as payload). Each accepted connection is served by one
-// goroutine that processes frames strictly in arrival order — requests
-// pipeline (a client may have many in flight; none waits for a network
-// round trip behind another) but replies never reorder, and the
-// per-connection decode buffers and reply structs are reused across
+// A FrameServer hosts any number of services behind one listener —
+// stage services, aggregator services, and the control plane's
+// registrar: clients address a service by channel number, resolved
+// once per connection per stage via the attach handshake (methodAttach
+// with the stage ID as payload). Each accepted connection is served by
+// one goroutine that processes frames strictly in arrival order —
+// requests pipeline (a client may have many in flight; none waits for a
+// network round trip behind another) but replies never reorder, and
+// the per-connection decode buffers and reply structs are reused across
 // frames, so a steady-state collect allocates nothing on the server
 // side either.
-//
-// The frame protocol is the listener's only wire: the legacy gob
-// compatibility sniffing was removed when that path's one-release
-// migration window closed.
 package rpcio
 
 import (
@@ -23,15 +20,22 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-
-	"padll/internal/stage"
 )
 
-// frameTarget is one mux channel's service: a stage service or an
-// aggregator service, never both.
+// frameTarget is one mux channel's service: exactly one of a stage
+// service, an aggregator service, or a registrar.
 type frameTarget struct {
 	stage *StageService
 	agg   *AggService
+	reg   *registrar
+}
+
+// registrar is the control plane's registration endpoint: stages
+// announce themselves at job start and their departure at shutdown,
+// and probe it as the controller liveness check behind degraded mode.
+type registrar struct {
+	onRegister   func(Registration) error
+	onDeregister func(stageID string)
 }
 
 // FrameServer routes frames to the services multiplexed behind one
@@ -66,6 +70,14 @@ func (fs *FrameServer) AddAgg(svc *AggService) uint32 {
 	return fs.add(svc.id, frameTarget{agg: svc})
 }
 
+// AddRegistrar registers the control plane's registration endpoint,
+// invoking onRegister for each arriving stage and onDeregister (may be
+// nil) on departures. Registrar clients never attach: they address
+// channel 0, so the registrar must be the first service added.
+func (fs *FrameServer) AddRegistrar(onRegister func(Registration) error, onDeregister func(stageID string)) uint32 {
+	return fs.add("", frameTarget{reg: &registrar{onRegister: onRegister, onDeregister: onDeregister}})
+}
+
 func (fs *FrameServer) add(name string, t frameTarget) uint32 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -78,7 +90,9 @@ func (fs *FrameServer) add(name string, t frameTarget) uint32 {
 	copy(next, cur)
 	next[len(cur)] = t
 	fs.targets.Store(&next)
-	fs.byName[name] = ch
+	if name != "" {
+		fs.byName[name] = ch
+	}
 	return ch
 }
 
@@ -114,18 +128,12 @@ type frameSession struct {
 	payload []byte
 	wbuf    []byte
 
-	applyArgs     ApplyRuleArgs
-	removeArgs    RemoveRuleArgs
-	rateArgs      SetRateArgs
-	modeArgs      SetModeArgs
 	probeArgs     HealthProbe
 	batchArgs     BatchArgs
 	aggAttachArgs AggAttachArgs
 	aggRoundArgs  AggRoundArgs
+	regArgs       Registration
 
-	boolReply    bool
-	statsReply   stage.Stats
-	infoReply    stage.Info
 	healthReply  StageHealth
 	batchReply   BatchReply
 	aggInfoReply AggInfo
@@ -199,61 +207,17 @@ func (fs *FrameServer) handleCall(s *frameSession, h frameHeader, reply []byte) 
 	if !ok {
 		return appendErrorPayload(reply, fmt.Sprintf("rpcio: no service on channel %d", h.channel)), frameError
 	}
-	if h.method == methodAggAttach || h.method == methodAggRound {
-		return fs.handleAggCall(tgt.agg, s, h, reply)
-	}
-	svc := tgt.stage
-	if svc == nil {
-		return appendErrorPayload(reply, fmt.Sprintf("rpcio: channel %d hosts an aggregator, not a stage", h.channel)), frameError
-	}
 	var (
-		err error
 		out []byte
+		err error
 	)
-	switch h.method {
-	case methodApplyRule:
-		if err = readCallArgs(h.method, s.payload, &s.applyArgs); err == nil {
-			err = svc.ApplyRule(s.applyArgs, &struct{}{})
-		}
-		out = reply
-	case methodRemoveRule:
-		if err = readCallArgs(h.method, s.payload, &s.removeArgs); err == nil {
-			err = svc.RemoveRule(s.removeArgs, &s.boolReply)
-		}
-		out = appendBool(reply, s.boolReply)
-	case methodSetRate:
-		if err = readCallArgs(h.method, s.payload, &s.rateArgs); err == nil {
-			err = svc.SetRate(s.rateArgs, &s.boolReply)
-		}
-		out = appendBool(reply, s.boolReply)
-	case methodCollect:
-		if err = readCallArgs(h.method, s.payload, &struct{}{}); err == nil {
-			err = svc.Collect(struct{}{}, &s.statsReply)
-		}
-		out = appendStats(reply, &s.statsReply)
-	case methodSetMode:
-		if err = readCallArgs(h.method, s.payload, &s.modeArgs); err == nil {
-			err = svc.SetMode(s.modeArgs, &struct{}{})
-		}
-		out = reply
-	case methodPing:
-		if err = readCallArgs(h.method, s.payload, &struct{}{}); err == nil {
-			err = svc.Ping(struct{}{}, &s.infoReply)
-		}
-		out = appendInfo(reply, &s.infoReply)
-	case methodHealth:
-		if err = readCallArgs(h.method, s.payload, &s.probeArgs); err == nil {
-			err = svc.Health(s.probeArgs, &s.healthReply)
-		}
-		out = appendStageHealth(reply, &s.healthReply)
-	case methodBatch:
-		if err = readCallArgs(h.method, s.payload, &s.batchArgs); err == nil {
-			err = svc.Batch(s.batchArgs, &s.batchReply)
-		}
-		out = appendBatchReply(reply, &s.batchReply)
+	switch {
+	case tgt.stage != nil:
+		out, err = handleStageCall(tgt.stage, s, h, reply)
+	case tgt.agg != nil:
+		out, err = handleAggCall(tgt.agg, s, h, reply)
 	default:
-		err = fmt.Errorf("rpcio: unknown method %d", h.method)
-		out = reply
+		out, err = handleRegistrarCall(tgt.reg, s, h, reply)
 	}
 	if err != nil {
 		return appendErrorPayload(reply[:frameHeaderLen], err.Error()), frameError
@@ -261,30 +225,71 @@ func (fs *FrameServer) handleCall(s *frameSession, h frameHeader, reply []byte) 
 	return out, frameReply
 }
 
-// handleAggCall dispatches one aggregator-tier method; svc is nil when
-// the addressed channel hosts a stage service instead.
-func (fs *FrameServer) handleAggCall(svc *AggService, s *frameSession, h frameHeader, reply []byte) ([]byte, uint8) {
-	if svc == nil {
-		return appendErrorPayload(reply, fmt.Sprintf("rpcio: no aggregator on channel %d", h.channel)), frameError
-	}
-	var (
-		err error
-		out []byte
-	)
+func handleStageCall(svc *StageService, s *frameSession, h frameHeader, reply []byte) ([]byte, error) {
 	switch h.method {
-	case methodAggAttach:
-		if err = readCallArgs(h.method, s.payload, &s.aggAttachArgs); err == nil {
-			err = svc.Attach(s.aggAttachArgs, &s.aggInfoReply)
+	case MethodHealth:
+		if err := readCallArgs(h.method, s.payload, &s.probeArgs); err != nil {
+			return nil, err
 		}
-		out = appendAggInfo(reply, &s.aggInfoReply)
-	case methodAggRound:
-		if err = readCallArgs(h.method, s.payload, &s.aggRoundArgs); err == nil {
-			err = svc.Round(s.aggRoundArgs, &s.aggRndReply)
+		if err := svc.Health(s.probeArgs, &s.healthReply); err != nil {
+			return nil, err
 		}
-		out = appendAggRoundReply(reply, &s.aggRndReply)
+		return appendStageHealth(reply, &s.healthReply), nil
+	case MethodBatch:
+		if err := readCallArgs(h.method, s.payload, &s.batchArgs); err != nil {
+			return nil, err
+		}
+		if err := svc.Batch(s.batchArgs, &s.batchReply); err != nil {
+			return nil, err
+		}
+		return appendBatchReply(reply, &s.batchReply), nil
+	case MethodAggAttach, MethodAggRound:
+		return nil, fmt.Errorf("rpcio: channel %d hosts a stage, not an aggregator", h.channel)
 	}
-	if err != nil {
-		return appendErrorPayload(reply[:frameHeaderLen], err.Error()), frameError
+	return nil, fmt.Errorf("rpcio: stage channel %d: unknown %v", h.channel, h.method)
+}
+
+func handleAggCall(svc *AggService, s *frameSession, h frameHeader, reply []byte) ([]byte, error) {
+	switch h.method {
+	case MethodAggAttach:
+		if err := readCallArgs(h.method, s.payload, &s.aggAttachArgs); err != nil {
+			return nil, err
+		}
+		if err := svc.Attach(s.aggAttachArgs, &s.aggInfoReply); err != nil {
+			return nil, err
+		}
+		return appendAggInfo(reply, &s.aggInfoReply), nil
+	case MethodAggRound:
+		if err := readCallArgs(h.method, s.payload, &s.aggRoundArgs); err != nil {
+			return nil, err
+		}
+		if err := svc.Round(s.aggRoundArgs, &s.aggRndReply); err != nil {
+			return nil, err
+		}
+		return appendAggRoundReply(reply, &s.aggRndReply), nil
+	case MethodHealth, MethodBatch:
+		return nil, fmt.Errorf("rpcio: channel %d hosts an aggregator, not a stage", h.channel)
 	}
-	return out, frameReply
+	return nil, fmt.Errorf("rpcio: aggregator channel %d: unknown %v", h.channel, h.method)
+}
+
+func handleRegistrarCall(reg *registrar, s *frameSession, h frameHeader, reply []byte) ([]byte, error) {
+	switch h.method {
+	case MethodRegister:
+		if err := readCallArgs(h.method, s.payload, &s.regArgs); err != nil {
+			return nil, err
+		}
+		return reply, reg.onRegister(s.regArgs)
+	case MethodDeregister:
+		if reg.onDeregister != nil {
+			reg.onDeregister(string(s.payload))
+		}
+		return reply, nil
+	case MethodRegistrarPing:
+		if err := readCallArgs(h.method, s.payload, &s.probeArgs); err != nil {
+			return nil, err
+		}
+		return appendHealthProbe(reply, &s.probeArgs), nil
+	}
+	return nil, fmt.Errorf("rpcio: registrar channel %d: unknown %v", h.channel, h.method)
 }

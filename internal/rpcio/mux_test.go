@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -117,7 +116,7 @@ func TestMuxManyStagesShareOneConnection(t *testing.T) {
 		return cl
 	})
 	for i, h := range handles {
-		info, err := h.Ping()
+		info, err := ping(h)
 		if err != nil {
 			t.Fatalf("ping m%d: %v", i, err)
 		}
@@ -157,7 +156,7 @@ func TestMuxInterleavedRepliesRouteCorrectly(t *testing.T) {
 				defer wg.Done()
 				want := fmt.Sprintf("m%d", i)
 				for k := 0; k < 25; k++ {
-					info, err := h.Ping()
+					info, err := ping(h)
 					if err != nil {
 						errs <- fmt.Errorf("ping %s: %w", want, err)
 						return
@@ -197,7 +196,7 @@ func TestMuxAttachUnknownStageFailsFast(t *testing.T) {
 	}
 	defer func() { _ = h.Close() }()
 	start := time.Now()
-	_, err = h.Ping()
+	_, err = ping(h)
 	if err == nil {
 		t.Fatal("call to unattachable stage succeeded")
 	}
@@ -237,7 +236,7 @@ func TestMuxMidFrameDropRedialsAndResyncs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("collect across a mid-frame drop: %v", err)
 	}
-	if !reflect.DeepEqual(gobBytes(t, got), gobBytes(t, stg.Collect())) {
+	if !sameStats(got, stg.Collect()) {
 		t.Errorf("post-drop snapshot diverged:\n got: %+v\nwant: %+v", got, stg.Collect())
 	}
 	fulls, deltas := h.CollectCounts()
@@ -255,7 +254,7 @@ func TestMuxMidFrameDropRedialsAndResyncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gobBytes(t, got), gobBytes(t, stg.Collect())) {
+	if !sameStats(got, stg.Collect()) {
 		t.Errorf("post-recovery snapshot diverged:\n got: %+v\nwant: %+v", got, stg.Collect())
 	}
 }
@@ -273,7 +272,7 @@ func TestMuxSurvivesFlakyFrameBoundaries(t *testing.T) {
 
 	for round := 0; round < 8; round++ {
 		for i, h := range handles {
-			info, err := h.Ping()
+			info, err := ping(h)
 			if err != nil {
 				t.Fatalf("round %d ping m%d: %v", round, i, err)
 			}
@@ -302,7 +301,7 @@ func TestMuxDuplicatedReplyFramesAreDiscarded(t *testing.T) {
 	})
 	for i, h := range handles {
 		for k := 0; k < 6; k++ {
-			info, err := h.Ping()
+			info, err := ping(h)
 			if err != nil {
 				t.Fatalf("ping m%d: %v", i, err)
 			}

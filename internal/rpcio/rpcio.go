@@ -1,23 +1,21 @@
 // Package rpcio provides the wire between PADLL's control plane and its
 // data-plane stages. The paper uses gRPC (§III-C); this implementation
-// uses a versioned binary frame protocol over TCP (wirecodec.go) for
-// stage and aggregator traffic, with stdlib net/rpc kept for the
-// low-rate registrar channel. The structure is the same: every stage
-// exposes a typed control
-// service (install rule, retune rate, collect statistics), and the
-// control plane exposes a registration service stages dial when their job
-// starts (§III-B "orchestrating stages from the same job").
+// uses one versioned binary frame protocol over TCP (wirecodec.go) for
+// all of it: every stage exposes a typed control service (a batch of
+// rule, rate and mode operations with an incremental statistics
+// collect, plus a health probe), aggregators expose the same shape one
+// tier up, and the control plane exposes a registration service stages
+// dial when their job starts (§III-B "orchestrating stages from the
+// same job").
 package rpcio
 
 import (
 	"fmt"
 	"net"
-	"net/rpc"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"padll/internal/clock"
 	"padll/internal/policy"
 	"padll/internal/stage"
 )
@@ -29,14 +27,14 @@ import (
 //lint:wire
 type Registration struct {
 	Info stage.Info
-	// Addr is the host:port of the stage's RPC server.
+	// Addr is the host:port of the stage's control service.
 	Addr string
 }
 
 // ---- stage-side control service ----
 
-// StageService exposes a stage's control operations over RPC: the
-// per-call methods below plus the batched delta protocol (batch.go).
+// StageService exposes a stage's control operations on the wire: the
+// batched delta protocol (batch.go) plus a health probe.
 type StageService struct {
 	stg *stage.Stage
 	// epoch identifies this service instance to delta-collect clients;
@@ -56,7 +54,8 @@ type StageService struct {
 }
 
 // NewStageService wraps a stage for serving, either over a listener
-// (ServeService) or in process (NewLoopback).
+// (ServeService, or ServeMux behind a FrameServer) or in process
+// (NewEncodedLoopback).
 func NewStageService(stg *stage.Stage) *StageService {
 	return &StageService{stg: stg, epoch: newEpoch()}
 }
@@ -71,75 +70,9 @@ func (s *StageService) Served() ServiceStats {
 	}
 }
 
-// ApplyRuleArgs carries a rule to install or update.
-//
-//lint:wire
-type ApplyRuleArgs struct{ Rule policy.Rule }
-
-// ApplyRule installs or updates a rule on the stage.
-func (s *StageService) ApplyRule(args ApplyRuleArgs, _ *struct{}) error {
-	s.calls.Add(1)
-	s.stg.ApplyRule(args.Rule)
-	return nil
-}
-
-// RemoveRuleArgs names a rule to delete.
-//
-//lint:wire
-type RemoveRuleArgs struct{ ID string }
-
-// RemoveRule deletes a rule; Removed reports whether it existed.
-func (s *StageService) RemoveRule(args RemoveRuleArgs, removed *bool) error {
-	s.calls.Add(1)
-	*removed = s.stg.RemoveRule(args.ID)
-	return nil
-}
-
-// SetRateArgs retunes one queue's rate.
-//
-//lint:wire
-type SetRateArgs struct {
-	ID   string
-	Rate float64
-}
-
-// SetRate retunes a live queue; Found reports whether the rule existed.
-func (s *StageService) SetRate(args SetRateArgs, found *bool) error {
-	s.calls.Add(1)
-	*found = s.stg.SetRate(args.ID, args.Rate)
-	return nil
-}
-
-// Collect snapshots the stage's statistics (the per-call, full-snapshot
-// protocol; Batch carries the incremental form).
-func (s *StageService) Collect(_ struct{}, reply *stage.Stats) error {
-	s.calls.Add(1)
-	s.fullCollects.Add(1)
-	s.stg.CollectInto(reply)
-	return nil
-}
-
-// SetModeArgs switches enforcement mode.
-//
-//lint:wire
-type SetModeArgs struct{ Mode stage.Mode }
-
-// SetMode switches the stage between Enforce and Passthrough.
-func (s *StageService) SetMode(args SetModeArgs, _ *struct{}) error {
-	s.calls.Add(1)
-	s.stg.SetMode(args.Mode)
-	return nil
-}
-
-// Ping is a liveness probe; it echoes the stage's identity.
-func (s *StageService) Ping(_ struct{}, reply *stage.Info) error {
-	s.calls.Add(1)
-	*reply = s.stg.Info()
-	return nil
-}
-
-// HealthProbe is the liveness-check request both services accept. Seq is
-// echoed back so a prober can match replies to probes across retries.
+// HealthProbe is the liveness-check request both the stage service and
+// the registrar accept. Seq is echoed back so a prober can match replies
+// to probes across retries.
 //
 //lint:wire
 type HealthProbe struct {
@@ -179,23 +112,6 @@ func (s *StageService) Health(probe HealthProbe, reply *StageHealth) error {
 // flood degrades into queued accepts instead of unbounded goroutines.
 const DefaultMaxConns = 128
 
-// ServeOption configures ServeStage/ServeService/ServeRegistrar.
-type ServeOption func(*serveConfig)
-
-type serveConfig struct {
-	maxConns int
-}
-
-// WithMaxConns bounds concurrently served connections (default
-// DefaultMaxConns; n <= 0 keeps the default).
-func WithMaxConns(n int) ServeOption {
-	return func(c *serveConfig) {
-		if n > 0 {
-			c.maxConns = n
-		}
-	}
-}
-
 // serveBounded accepts connections on l and hands each to handler, with
 // a hard bound on concurrently served connections: the accept loop
 // takes a semaphore slot before accepting, so at most maxConns handler
@@ -205,9 +121,6 @@ func WithMaxConns(n int) ServeOption {
 // listener, closes every in-flight connection (unblocking their
 // handlers), and waits for all goroutines to finish.
 func serveBounded(l net.Listener, handler func(net.Conn), maxConns int) (stop func()) {
-	if maxConns <= 0 {
-		maxConns = DefaultMaxConns
-	}
 	sem := make(chan struct{}, maxConns)
 	var (
 		mu      sync.Mutex
@@ -254,8 +167,8 @@ func serveBounded(l net.Listener, handler func(net.Conn), maxConns int) (stop fu
 		mu.Lock()
 		stopped = true
 		for conn := range live {
-			// Force in-flight connections down; ServeConn returns once
-			// its transport dies, and handler goroutines drain.
+			// Force in-flight connections down; the frame loop returns
+			// once its connection dies, and handler goroutines drain.
 			_ = conn.Close()
 		}
 		mu.Unlock()
@@ -267,36 +180,25 @@ func serveBounded(l net.Listener, handler func(net.Conn), maxConns int) (stop fu
 // returns immediately; the returned stop function closes the listener
 // and every in-flight connection, then waits for all serving goroutines
 // to exit.
-func ServeStage(l net.Listener, stg *stage.Stage, opts ...ServeOption) (stop func()) {
-	return ServeService(l, NewStageService(stg), opts...)
+func ServeStage(l net.Listener, stg *stage.Stage) (stop func()) {
+	return ServeService(l, NewStageService(stg))
 }
 
 // ServeService is ServeStage for a caller-built StageService — the form
-// to use when the caller also wants the service (for Served counters or
-// a Loopback transport onto the same generation state). The listener
-// speaks the binary frame protocol only; the legacy gob wire's
-// compatibility window has closed.
-func ServeService(l net.Listener, svc *StageService, opts ...ServeOption) (stop func()) {
-	var cfg serveConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+// to use when the caller also wants the service (for Served counters).
+func ServeService(l net.Listener, svc *StageService) (stop func()) {
 	fs := NewFrameServer()
 	fs.Add(svc)
-	return serveBounded(l, func(conn net.Conn) { fs.serveFrameConn(conn) }, cfg.maxConns)
+	return ServeMux(l, fs)
 }
 
-// ServeMux serves many stages' services behind one listener over the
-// frame protocol: clients resolve a stage ID to a channel with the
-// attach handshake and multiplex all their calls over one connection
-// per endpoint. Register services with fs.Add before or after this
-// call.
-func ServeMux(l net.Listener, fs *FrameServer, opts ...ServeOption) (stop func()) {
-	var cfg serveConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return serveBounded(l, func(conn net.Conn) { fs.serveFrameConn(conn) }, cfg.maxConns)
+// ServeMux serves every service registered on fs behind one listener:
+// clients resolve a stage or aggregator ID to a channel with the attach
+// handshake and multiplex all their calls over one connection per
+// endpoint; registrar clients address channel 0 directly. Register
+// services with fs.Add before or after this call.
+func ServeMux(l net.Listener, fs *FrameServer) (stop func()) {
+	return serveBounded(l, fs.serveFrameConn, DefaultMaxConns)
 }
 
 // Default deadlines for control-plane RPCs. A single hung peer must
@@ -307,11 +209,11 @@ const (
 )
 
 // StageHandle is the control plane's typed client for one stage,
-// layered over a Transport: TCP/gob with redial, deadlines and seeded
-// backoff for remote stages (DialStage), or direct in-process dispatch
-// (LoopbackStage). Besides the per-call methods mirroring the wire
-// protocol, the handle owns the client half of the batched delta
-// protocol (ExecBatch/CollectDelta in batch.go).
+// layered over a Transport: TCP frames with redial, deadlines and
+// seeded backoff for remote stages (DialStage), or the in-process
+// encoded loopback (EncodedLoopbackStage). The handle owns the client
+// half of the batched delta protocol (ExecBatch/CollectDelta in
+// batch.go); its single-operation methods are one-op batches.
 type StageHandle struct {
 	t Transport
 
@@ -340,13 +242,6 @@ func DialStage(addr string, opts ...DialOption) (*StageHandle, error) {
 	return &StageHandle{t: t}, nil
 }
 
-// LoopbackStage returns a handle driving svc directly in process: no
-// socket, no serialization, same protocol semantics (including
-// generation-tracked incremental collects against svc's state).
-func LoopbackStage(svc *StageService) *StageHandle {
-	return &StageHandle{t: NewLoopback(svc)}
-}
-
 // NewStageHandle wraps an arbitrary transport (tests inject faulty
 // ones).
 func NewStageHandle(t Transport) *StageHandle { return &StageHandle{t: t} }
@@ -357,49 +252,47 @@ func (h *StageHandle) Addr() string { return h.t.Addr() }
 // WireStats reports the handle's cumulative traffic accounting.
 func (h *StageHandle) WireStats() WireStats { return h.t.WireStats() }
 
+// execOp runs one stage operation as a one-op batch and reports its
+// Found result.
+func (h *StageHandle) execOp(op StageOp) (bool, error) {
+	results, err := h.ExecBatchInto([]StageOp{op}, false, nil)
+	if err != nil {
+		return false, err
+	}
+	if len(results) != 1 {
+		return false, fmt.Errorf("rpcio: stage %s: %d results for a one-op batch", h.Addr(), len(results))
+	}
+	return results[0].Found, nil
+}
+
 // ApplyRule installs or updates a rule on the remote stage.
 func (h *StageHandle) ApplyRule(r policy.Rule) error {
-	return h.t.Call("Stage.ApplyRule", &ApplyRuleArgs{Rule: r}, &struct{}{})
+	_, err := h.execOp(StageOp{Kind: OpApplyRule, Rule: r})
+	return err
 }
 
-// RemoveRule deletes a rule on the remote stage.
+// RemoveRule deletes a rule on the remote stage, reporting whether it
+// existed.
 func (h *StageHandle) RemoveRule(id string) (bool, error) {
-	var removed bool
-	err := h.t.Call("Stage.RemoveRule", &RemoveRuleArgs{ID: id}, &removed)
-	return removed, err
+	return h.execOp(StageOp{Kind: OpRemoveRule, ID: id})
 }
 
-// SetRate retunes a queue on the remote stage.
+// SetRate retunes a queue on the remote stage, reporting whether the
+// rule existed.
 func (h *StageHandle) SetRate(id string, rate float64) (bool, error) {
-	var found bool
-	err := h.t.Call("Stage.SetRate", &SetRateArgs{ID: id, Rate: rate}, &found)
-	return found, err
-}
-
-// Collect fetches the remote stage's statistics as a full snapshot in
-// one dedicated RPC. CollectDelta is the incremental form.
-func (h *StageHandle) Collect() (stage.Stats, error) {
-	var st stage.Stats
-	err := h.t.Call("Stage.Collect", &struct{}{}, &st)
-	return st, err
+	return h.execOp(StageOp{Kind: OpSetRate, ID: id, Rate: rate})
 }
 
 // SetMode switches the remote stage's mode.
 func (h *StageHandle) SetMode(m stage.Mode) error {
-	return h.t.Call("Stage.SetMode", &SetModeArgs{Mode: m}, &struct{}{})
-}
-
-// Ping probes liveness.
-func (h *StageHandle) Ping() (stage.Info, error) {
-	var info stage.Info
-	err := h.t.Call("Stage.Ping", &struct{}{}, &info)
-	return info, err
+	_, err := h.execOp(StageOp{Kind: OpSetMode, Mode: m})
+	return err
 }
 
 // Health fetches the stage's health report.
 func (h *StageHandle) Health(seq uint64) (StageHealth, error) {
 	var st StageHealth
-	err := h.t.Call("Stage.Health", &HealthProbe{Seq: seq}, &st)
+	err := h.t.Call(MethodHealth, &HealthProbe{Seq: seq}, &st)
 	return st, err
 }
 
@@ -407,109 +300,51 @@ func (h *StageHandle) Health(seq uint64) (StageHealth, error) {
 // redialing.
 func (h *StageHandle) Close() error { return h.t.Close() }
 
-// ---- controller-side registration service ----
+// ---- stage-side registrar client ----
 
-// RegistrarService accepts stage registrations on the control plane.
-type RegistrarService struct {
-	onRegister   func(Registration) error
-	onDeregister func(stageID string)
-}
-
-// Register announces a new stage. The control plane connects back to the
-// stage's control service and begins orchestrating it.
-func (r *RegistrarService) Register(reg Registration, _ *struct{}) error {
-	return r.onRegister(reg)
-}
-
-// Deregister announces a stage's shutdown (job completion).
-func (r *RegistrarService) Deregister(stageID string, _ *struct{}) error {
-	if r.onDeregister != nil {
-		r.onDeregister(stageID)
-	}
-	return nil
-}
-
-// Ping echoes the probe. Stages use it as the controller liveness check
-// behind their degraded-mode detection.
-func (r *RegistrarService) Ping(probe HealthProbe, reply *HealthProbe) error {
-	*reply = probe
-	return nil
-}
-
-// ServeRegistrar serves a registration endpoint on l, invoking onRegister
-// for each arriving stage and onDeregister (may be nil) on departures.
-// Connection handling is bounded and stop is deterministic; see
-// ServeStage.
-func ServeRegistrar(l net.Listener, onRegister func(Registration) error, onDeregister func(string), opts ...ServeOption) (stop func()) {
-	var cfg serveConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Registrar", &RegistrarService{onRegister: onRegister, onDeregister: onDeregister}); err != nil {
-		panic(fmt.Sprintf("rpcio: register registrar service: %v", err))
-	}
-	return serveBounded(l, func(conn net.Conn) { srv.ServeConn(conn) }, cfg.maxConns)
-}
-
-// registrarCall dials the control plane's registrar with a bounded dial
-// and I/O deadline, performs one call, and closes the connection. The
-// deadline keeps a stage's startup/shutdown path from hanging on a dead
-// controller.
-func registrarCall(controllerAddr, method string, args, reply interface{}) error {
-	conn, err := net.DialTimeout("tcp", controllerAddr, DefaultDialTimeout)
+// registrarCall performs one registrar exchange on a fresh connection
+// of its own: one attempt, the dial bounded by dialTO and the call by
+// callTO, never retried — a stage's startup, shutdown and heartbeat
+// paths must neither hang on a dead controller nor hide its death
+// behind retries.
+func registrarCall(controllerAddr string, m Method, args, reply any, dialTO, callTO time.Duration) error {
+	cfg := defaultDialConfig()
+	cfg.dialTO, cfg.timeout = dialTO, callTO
+	cfg.backoff = Backoff{Attempts: 1}
+	cfg.dialer = &frameDialer{}
+	t := newFrameTransport(controllerAddr, cfg)
+	err := t.Call(m, args, reply)
+	// Closing releases the private connection; a transport error has
+	// already killed it, and a clean one has nothing left to flush.
+	_ = t.Close()
 	if err != nil {
-		return fmt.Errorf("rpcio: dial controller %s: %w", controllerAddr, err)
+		return fmt.Errorf("rpcio: controller %s: %v: %w", controllerAddr, m, err)
 	}
-	// Absolute wall-clock deadline for the whole exchange: registrar
-	// calls run on real deployments' startup paths, never under sim.
-	if derr := conn.SetDeadline(clock.NewReal().Now().Add(DefaultCallTimeout)); derr != nil {
-		_ = conn.Close()
-		return fmt.Errorf("rpcio: controller %s: set deadline: %w", controllerAddr, derr)
-	}
-	client := rpc.NewClient(conn)
-	callErr := client.Call(method, args, reply)
-	if cerr := client.Close(); callErr == nil && cerr != nil {
-		callErr = fmt.Errorf("rpcio: close registrar connection: %w", cerr)
-	}
-	return callErr
+	return nil
 }
 
 // RegisterWithController dials the control plane's registrar and announces
 // a stage served at stageAddr.
 func RegisterWithController(controllerAddr string, info stage.Info, stageAddr string) error {
-	return registrarCall(controllerAddr, "Registrar.Register",
-		Registration{Info: info, Addr: stageAddr}, &struct{}{})
+	return registrarCall(controllerAddr, MethodRegister,
+		&Registration{Info: info, Addr: stageAddr}, &struct{}{},
+		DefaultDialTimeout, DefaultCallTimeout)
 }
 
 // DeregisterFromController announces a stage's departure.
 func DeregisterFromController(controllerAddr, stageID string) error {
-	return registrarCall(controllerAddr, "Registrar.Deregister", stageID, &struct{}{})
+	return registrarCall(controllerAddr, MethodDeregister, &stageID, &struct{}{},
+		DefaultDialTimeout, DefaultCallTimeout)
 }
 
 // ProbeController performs one bounded controller liveness check: dial
-// the registrar, exchange a Registrar.Ping, close. A nil error means the
-// control plane is reachable and serving.
+// the registrar, exchange a Registrar.Ping, close — each step bounded
+// by timeout. A nil error means the control plane is reachable and
+// serving.
 func ProbeController(controllerAddr string, timeout time.Duration) error {
 	if timeout <= 0 {
 		timeout = DefaultDialTimeout
 	}
-	conn, err := net.DialTimeout("tcp", controllerAddr, timeout)
-	if err != nil {
-		return fmt.Errorf("rpcio: probe controller %s: %w", controllerAddr, err)
-	}
-	if derr := conn.SetDeadline(clock.NewReal().Now().Add(timeout)); derr != nil {
-		_ = conn.Close()
-		return fmt.Errorf("rpcio: probe controller %s: set deadline: %w", controllerAddr, derr)
-	}
-	client := rpc.NewClient(conn)
 	var echo HealthProbe
-	callErr := client.Call("Registrar.Ping", HealthProbe{Seq: 1}, &echo)
-	if cerr := client.Close(); callErr == nil && cerr != nil {
-		callErr = cerr
-	}
-	if callErr != nil {
-		return fmt.Errorf("rpcio: probe controller %s: %w", controllerAddr, callErr)
-	}
-	return nil
+	return registrarCall(controllerAddr, MethodRegistrarPing, &HealthProbe{Seq: 1}, &echo, timeout, timeout)
 }

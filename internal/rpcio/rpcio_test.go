@@ -32,9 +32,30 @@ func servedStage(t *testing.T) (*stage.Stage, *StageHandle) {
 	return stg, h
 }
 
+// ping probes a handle's stage with a health check and returns its
+// identity.
+func ping(h *StageHandle) (stage.Info, error) {
+	hl, err := h.Health(0)
+	return hl.Info, err
+}
+
+// serveRegistrar serves a registrar on a fresh frame listener and
+// returns its address.
+func serveRegistrar(t *testing.T, onRegister func(Registration) error, onDeregister func(string)) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := NewFrameServer()
+	fs.AddRegistrar(onRegister, onDeregister)
+	t.Cleanup(ServeMux(l, fs))
+	return l.Addr().String()
+}
+
 func TestPingRoundTrip(t *testing.T) {
 	_, h := servedStage(t)
-	info, err := h.Ping()
+	info, err := ping(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +80,7 @@ func TestApplyRuleOverRPC(t *testing.T) {
 		t.Errorf("installed rules = %+v", rules)
 	}
 	if len(rules[0].Match.Ops) != 1 || rules[0].Match.Ops[0] != posix.OpOpen {
-		t.Errorf("matcher lost over gob: %+v", rules[0].Match)
+		t.Errorf("matcher lost over the wire: %+v", rules[0].Match)
 	}
 }
 
@@ -106,7 +127,7 @@ func TestCollectOverRPC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := h.Collect()
+	st, err := h.CollectDelta()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +150,10 @@ func TestSetModeOverRPC(t *testing.T) {
 }
 
 func TestRegistrarFlow(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var mu sync.Mutex
 	var regs []Registration
 	var deregs []string
-	stop := ServeRegistrar(l,
+	addr := serveRegistrar(t,
 		func(r Registration) error {
 			mu.Lock()
 			regs = append(regs, r)
@@ -148,18 +165,17 @@ func TestRegistrarFlow(t *testing.T) {
 			deregs = append(deregs, id)
 			mu.Unlock()
 		})
-	defer stop()
 
 	info := stage.Info{StageID: "sX", JobID: "jY", Hostname: "nodeZ", PID: 11, User: "bob"}
-	if err := RegisterWithController(l.Addr().String(), info, "127.0.0.1:9999"); err != nil {
+	if err := RegisterWithController(addr, info, "127.0.0.1:9999"); err != nil {
 		t.Fatal(err)
 	}
-	if err := DeregisterFromController(l.Addr().String(), "sX"); err != nil {
+	if err := DeregisterFromController(addr, "sX"); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(regs) != 1 || regs[0].Info.JobID != "jY" || regs[0].Addr != "127.0.0.1:9999" {
+	if len(regs) != 1 || regs[0].Info != info || regs[0].Addr != "127.0.0.1:9999" {
 		t.Errorf("registrations = %+v", regs)
 	}
 	if len(deregs) != 1 || deregs[0] != "sX" {
@@ -181,7 +197,7 @@ func TestClosedHandleErrors(t *testing.T) {
 	if err := h.Close(); err != nil {
 		t.Errorf("double close: %v", err)
 	}
-	if _, err := h.Ping(); err == nil {
+	if _, err := ping(h); err == nil {
 		t.Error("Ping on closed handle succeeded")
 	}
 }
@@ -214,7 +230,7 @@ func TestEndToEndEnforcementViaRPC(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 150*time.Millisecond {
 		t.Errorf("200 ops at 1000/s burst 10 finished in %v; RPC-installed rule not enforced", elapsed)
 	}
-	st, err := h.Collect()
+	st, err := h.CollectDelta()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,9 +239,9 @@ func TestEndToEndEnforcementViaRPC(t *testing.T) {
 	}
 }
 
-func TestWaitPercentilesSurviveGob(t *testing.T) {
-	// QueueStats gained WaitP50/P95/P99; make sure the gob-encoded RPC
-	// reply carries them rather than silently zeroing the new fields.
+func TestWaitPercentilesSurviveWire(t *testing.T) {
+	// QueueStats gained WaitP50/P95/P99; make sure the collect reply
+	// carries them rather than silently zeroing the new fields.
 	clk := clock.NewSim(epoch)
 	stg := stage.New(stage.Info{StageID: "s1", JobID: "j1"}, clk)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -259,7 +275,7 @@ func TestWaitPercentilesSurviveGob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := h.Collect()
+	st, err := h.CollectDelta()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,14 +284,14 @@ func TestWaitPercentilesSurviveGob(t *testing.T) {
 	}
 	q := st.Queues[0]
 	if q.WaitP99 <= 0 {
-		t.Errorf("WaitP99 = %v, want > 0: percentiles lost over gob (%+v)", q.WaitP99, q)
+		t.Errorf("WaitP99 = %v, want > 0: percentiles lost over the wire (%+v)", q.WaitP99, q)
 	}
 	if q.WaitP50 > q.WaitP95 || q.WaitP95 > q.WaitP99 {
 		t.Errorf("percentiles not monotone over the wire: %+v", q)
 	}
 }
 
-func TestRuleActionSurvivesGob(t *testing.T) {
+func TestRuleActionSurvivesWire(t *testing.T) {
 	stg, h := servedStage(t)
 	rule := policy.Rule{ID: "police", Rate: 100, Burst: 5, Action: policy.ActionDrop}
 	if err := h.ApplyRule(rule); err != nil {

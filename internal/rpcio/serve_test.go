@@ -10,7 +10,7 @@ import (
 )
 
 // TestStopClosesInFlightConnections: stop() must tear down connections
-// that are sitting idle inside ServeConn, not just the listener — and
+// that are sitting idle in their frame loop, not just the listener — and
 // return only after every serving goroutine has drained. A hang here
 // fails the test by timeout.
 func TestStopClosesInFlightConnections(t *testing.T) {
@@ -25,7 +25,7 @@ func TestStopClosesInFlightConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	if _, err := h.Ping(); err != nil {
+	if _, err := ping(h); err != nil {
 		t.Fatal(err)
 	}
 
@@ -39,7 +39,7 @@ func TestStopClosesInFlightConnections(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("stop() hung with an in-flight connection open")
 	}
-	if _, err := h.Ping(); err == nil {
+	if _, err := ping(h); err == nil {
 		t.Error("call succeeded after the server stopped")
 	}
 }
@@ -56,14 +56,16 @@ func TestMaxConnsBoundsConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := ServeStage(l, stg, WithMaxConns(1))
+	fs := NewFrameServer()
+	fs.Add(NewStageService(stg))
+	stop := serveBounded(l, fs.serveFrameConn, 1)
 	defer stop()
 
 	a, err := DialStage(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Ping(); err != nil {
+	if _, err := ping(a); err != nil {
 		t.Fatal(err)
 	}
 
@@ -75,7 +77,7 @@ func TestMaxConnsBoundsConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if _, err := b.Ping(); err == nil {
+	if _, err := ping(b); err == nil {
 		t.Fatal("second client served while the only slot was held")
 	}
 
@@ -85,7 +87,7 @@ func TestMaxConnsBoundsConcurrentClients(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := b.Ping(); err == nil {
+		if _, err := ping(b); err == nil {
 			return
 		}
 		if time.Now().After(deadline) {

@@ -4,29 +4,27 @@
 // reproduction's wire is the versioned binary frame protocol over TCP.
 // Both are request/response transports, and everything above them — the
 // typed StageHandle API, the batched delta protocol, the controller —
-// only needs "issue one named call, get one reply". Transport captures
-// that contract so the same control plane can run over a real socket
-// (frameTransport) or dispatch straight into an in-process StageService
-// (Loopback) with zero serialization, which is what sim-clock tests,
-// the chaos harness, and thousand-stage benchmarks want.
+// only needs "issue one numbered call, get one reply". Transport
+// captures that contract so the same control plane can run over a real
+// socket (frameTransport) or through the same frame codec in process
+// (EncodedLoopback), which is what sim-clock tests, the chaos harness,
+// and thousand-stage benchmarks want.
 package rpcio
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"padll/internal/clock"
-	"padll/internal/stage"
 )
 
 // Transport moves one typed RPC to a stage's control service and back.
 // Implementations must be safe for concurrent use.
 type Transport interface {
-	// Call performs the named RPC. args and reply are the pointer forms
-	// of the method's wire types.
-	Call(method string, args, reply any) error
+	// Call performs one RPC. args and reply are the pointer forms of
+	// the method's wire types.
+	Call(m Method, args, reply any) error
 	// WireStats reports cumulative traffic accounting.
 	WireStats() WireStats
 	// Addr identifies the peer (host:port, or "loopback").
@@ -36,8 +34,8 @@ type Transport interface {
 }
 
 // WireStats is a transport's cumulative traffic accounting. Calls counts
-// round trips issued (including retries); bytes are zero on transports
-// that never serialize (Loopback).
+// round trips issued (including retries); bytes are exact frame bytes in
+// each direction.
 type WireStats struct {
 	Calls        uint64
 	BytesRead    uint64
@@ -95,37 +93,8 @@ func WithMuxStage(stageID string) DialOption {
 	return func(c *dialConfig) { c.stageID = stageID }
 }
 
-// LoopbackAddr is what Loopback transports report from Addr.
+// LoopbackAddr is what in-process transports report from Addr.
 const LoopbackAddr = "loopback"
-
-// Loopback is the in-process transport: calls dispatch directly into a
-// StageService with no socket, no gob, and no goroutine handoff. The
-// reply the caller hands in is filled by the service itself, so the
-// steady-state path allocates nothing — what a 1,000-stage sim-clock
-// experiment needs to measure the control plane instead of the wire.
-type Loopback struct {
-	svc    *StageService
-	calls  atomic.Uint64
-	closed atomic.Bool
-}
-
-// NewLoopback returns an in-process transport bound to svc.
-func NewLoopback(svc *StageService) *Loopback { return &Loopback{svc: svc} }
-
-// Addr implements Transport.
-func (l *Loopback) Addr() string { return LoopbackAddr }
-
-// WireStats implements Transport. Loopback never serializes, so only
-// Calls is meaningful.
-func (l *Loopback) WireStats() WireStats {
-	return WireStats{Calls: l.calls.Load()}
-}
-
-// Close implements Transport.
-func (l *Loopback) Close() error {
-	l.closed.Store(true)
-	return nil
-}
 
 // FrameDir distinguishes the two directions a fault hook can intercept
 // on an EncodedLoopback.
@@ -143,16 +112,16 @@ const (
 
 // FrameFault inspects one frame about to cross an EncodedLoopback and
 // may return an error to simulate losing it at that frame boundary.
-type FrameFault func(dir FrameDir, method string) error
+type FrameFault func(dir FrameDir, m Method) error
 
-// EncodedLoopback is the in-process transport that still pays the wire:
-// every call round-trips through the binary frame codec — encode args,
-// decode into the service's reusable session, dispatch, encode the
-// reply, decode into the caller's value — with exact frame-byte
+// EncodedLoopback is the in-process transport, and it still pays the
+// wire: every call round-trips through the binary frame codec — encode
+// args, decode into the service's reusable session, dispatch, encode
+// the reply, decode into the caller's value — with exact frame-byte
 // accounting but no socket and no goroutine handoff. Deterministic and
-// single-threaded per call, it is what the chaos harness's batched mode
-// and the thousand-stage benchmarks run on: the codec's cost and its
-// bugs are in the loop, the kernel's are not. A FrameFault hook injects
+// single-threaded per call, it is what sim-clock tests, the chaos
+// harness's batched mode and the thousand-stage benchmarks run on: the
+// codec's cost and its bugs are in the loop, the kernel's are not. A FrameFault hook injects
 // losses at frame granularity.
 type EncodedLoopback struct {
 	mu     sync.Mutex
@@ -220,11 +189,7 @@ func (l *EncodedLoopback) Close() error {
 
 // Call implements Transport: one full encode→dispatch→decode round trip
 // through the binary codec.
-func (l *EncodedLoopback) Call(method string, args, reply any) error {
-	m, ok := methodIDs[method]
-	if !ok {
-		return fmt.Errorf("rpcio: loopback: unknown method %q", method)
-	}
+func (l *EncodedLoopback) Call(m Method, args, reply any) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -245,7 +210,7 @@ func (l *EncodedLoopback) Call(method string, args, reply any) error {
 	})
 	l.bytesWritten += uint64(len(frame))
 	if l.fault != nil {
-		if err := l.fault(FrameRequest, method); err != nil {
+		if err := l.fault(FrameRequest, m); err != nil {
 			return err // request lost before the service saw it
 		}
 	}
@@ -265,7 +230,7 @@ func (l *EncodedLoopback) Call(method string, args, reply any) error {
 	})
 	l.bytesRead += uint64(len(rep))
 	if l.fault != nil {
-		if err := l.fault(FrameReply, method); err != nil {
+		if err := l.fault(FrameReply, m); err != nil {
 			return err // reply lost after the service applied the call
 		}
 	}
@@ -274,33 +239,4 @@ func (l *EncodedLoopback) Call(method string, args, reply any) error {
 		return RemoteError(string(rep[frameHeaderLen:]))
 	}
 	return readCallReply(m, rep[frameHeaderLen:], reply)
-}
-
-// Call implements Transport by direct dispatch: the same service
-// methods net/rpc would invoke, minus the codec.
-func (l *Loopback) Call(method string, args, reply any) error {
-	if l.closed.Load() {
-		return fmt.Errorf("rpcio: stage %s: connection closed", LoopbackAddr)
-	}
-	l.calls.Add(1)
-	switch method {
-	case "Stage.ApplyRule":
-		return l.svc.ApplyRule(*args.(*ApplyRuleArgs), reply.(*struct{}))
-	case "Stage.RemoveRule":
-		return l.svc.RemoveRule(*args.(*RemoveRuleArgs), reply.(*bool))
-	case "Stage.SetRate":
-		return l.svc.SetRate(*args.(*SetRateArgs), reply.(*bool))
-	case "Stage.Collect":
-		return l.svc.Collect(struct{}{}, reply.(*stage.Stats))
-	case "Stage.SetMode":
-		return l.svc.SetMode(*args.(*SetModeArgs), reply.(*struct{}))
-	case "Stage.Ping":
-		return l.svc.Ping(struct{}{}, reply.(*stage.Info))
-	case "Stage.Health":
-		return l.svc.Health(*args.(*HealthProbe), reply.(*StageHealth))
-	case "Stage.Batch":
-		return l.svc.Batch(*args.(*BatchArgs), reply.(*BatchReply))
-	default:
-		return fmt.Errorf("rpcio: loopback: unknown method %q", method)
-	}
 }

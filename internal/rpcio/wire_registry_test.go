@@ -3,6 +3,10 @@ package rpcio
 import (
 	"crypto/sha256"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -14,24 +18,22 @@ import (
 
 // wireRegistry locks the field sets of every struct that crosses the
 // control-plane wire, directly (Call args/replies) or transitively
-// (types embedded in them). gob identifies fields by name, elides zero
-// values on encode, and silently ignores unknown names on decode — so
-// renaming, retyping, or removing a field does not fail loudly, it
-// quietly desynchronizes old and new peers. The contract is therefore
-// append-only: new fields may be added at the end (old decoders ignore
-// them, new decoders see zero values from old encoders), but the fields
-// recorded here must never change.
+// (types embedded in them). The binary codec encodes fields by position,
+// with no names on the wire, so a peer cannot detect a schema change
+// from the bytes alone. The contract is version-bump, not append-only: a
+// schema change updates this registry, the codec's append/read pair and
+// codecFieldCoverage together, and moves WireVersion to a new entry in
+// wireSchemaFingerprints; TestWireSchemaFingerprintMatchesVersion fails
+// until all of that lands, and peers on different versions refuse each
+// other's frames instead of misreading them.
 //
-// Only exported fields are registered: gob never encodes unexported
-// ones (see policy.Matcher.prefixSlash, a receiver-side cache).
+// Only exported fields are registered: the codec never encodes
+// unexported ones (see policy.Matcher.prefixSlash, a receiver-side
+// cache).
 var wireRegistry = map[string][]string{
-	// rpcio.go: per-call protocol.
-	"rpcio.Registration":   {"Info stage.Info", "Addr string"},
-	"rpcio.ApplyRuleArgs":  {"Rule policy.Rule"},
-	"rpcio.RemoveRuleArgs": {"ID string"},
-	"rpcio.SetRateArgs":    {"ID string", "Rate float64"},
-	"rpcio.SetModeArgs":    {"Mode stage.Mode"},
-	"rpcio.HealthProbe":    {"Seq uint64"},
+	// rpcio.go: registrar and health probe.
+	"rpcio.Registration": {"Info stage.Info", "Addr string"},
+	"rpcio.HealthProbe":  {"Seq uint64"},
 	"rpcio.StageHealth": {
 		"Seq uint64", "Info stage.Info", "Degraded bool",
 		"DegradedSeconds float64", "Rules int",
@@ -76,10 +78,6 @@ var wireRegistry = map[string][]string{
 		"StageID string", "JobID string", "Hostname string",
 		"PID int", "User string",
 	},
-	"stage.Stats": {
-		"Info stage.Info", "Queues []stage.QueueStats",
-		"Passthrough int64", "Degraded bool", "DegradedSeconds float64",
-	},
 	"stage.QueueStats": {
 		"RuleID string", "Limit float64", "Burst float64",
 		"ThroughputRate float64", "DemandRate float64",
@@ -99,12 +97,11 @@ var wireRegistry = map[string][]string{
 // wireTypes instantiates one value of every registered type, in a fixed
 // order matching wireRegistry's keys.
 var wireTypes = []any{
-	Registration{}, ApplyRuleArgs{}, RemoveRuleArgs{}, SetRateArgs{},
-	SetModeArgs{}, HealthProbe{}, StageHealth{},
+	Registration{}, HealthProbe{}, StageHealth{},
 	StageOp{}, OpResult{}, BatchArgs{}, BatchReply{}, StatsDelta{},
 	AggAttachArgs{}, AggInfo{}, JobGrant{}, AggRoundArgs{},
 	AggJobDelta{}, AggRoundReply{},
-	stage.Info{}, stage.Stats{}, stage.QueueStats{},
+	stage.Info{}, stage.QueueStats{},
 	policy.Rule{}, policy.Matcher{},
 }
 
@@ -122,12 +119,12 @@ func exportedFields(t reflect.Type) []string {
 	return out
 }
 
-// TestWireRegistryIsAppendOnly enforces the gob compatibility contract:
-// every field recorded in wireRegistry must still exist, at the same
-// position, with the same name and type. Fields appended after the
-// recorded set fail with a reminder to register them, so the registry
-// stays complete; any change to a recorded field is flagged as a wire
-// compatibility break.
+// TestWireRegistryIsAppendOnly pins every wire struct to its registry
+// entry: each recorded field must still exist, at the same position,
+// with the same name and type, and any field beyond the recorded set
+// fails with a reminder to register it. A deliberate schema change
+// therefore starts here, and the fingerprint test then demands the
+// matching WireVersion bump.
 func TestWireRegistryIsAppendOnly(t *testing.T) {
 	seen := make(map[string]bool)
 	for _, v := range wireTypes {
@@ -142,11 +139,11 @@ func TestWireRegistryIsAppendOnly(t *testing.T) {
 		got := exportedFields(rt)
 		for i, w := range want {
 			if i >= len(got) {
-				t.Errorf("%s: registered field %q removed — this breaks gob wire compatibility with deployed peers", name, w)
+				t.Errorf("%s: registered field %q removed — a wire schema change: update the registry, the codec and codecFieldCoverage, and bump WireVersion", name, w)
 				continue
 			}
 			if got[i] != w {
-				t.Errorf("%s: field %d changed from %q to %q — gob matches fields by name, so renames/retypes silently desynchronize peers; wire fields are append-only", name, i, w, got[i])
+				t.Errorf("%s: field %d changed from %q to %q — a wire schema change: update the registry, the codec and codecFieldCoverage, and bump WireVersion", name, i, w, got[i])
 			}
 		}
 		for _, g := range got[min(len(want), len(got)):] {
@@ -162,7 +159,7 @@ func TestWireRegistryIsAppendOnly(t *testing.T) {
 
 // TestCodecCoversEveryWireStruct pins the binary codec's per-struct
 // field coverage to the registry's locked field lists. Appending a
-// field to a wire struct extends the registry (the append-only test
+// field to a wire struct extends the registry (the registry test
 // demands it) but not the hand-written codec — this test is what makes
 // that forgetting loud: the counts diverge and the failure says to
 // extend the Encode/Decode pair and bump WireVersion together.
@@ -206,8 +203,8 @@ func wireSchemaFingerprint() string {
 // TestWireSchemaFingerprintMatchesVersion ties WireVersion to the
 // schema it claims to describe: the fingerprint of the locked registry
 // must be the one recorded for the current version. A schema change
-// therefore forces two deliberate edits — the registry (append-only
-// test) and the version/fingerprint pair — before the suite goes green.
+// therefore forces two deliberate edits — the registry (registry test)
+// and the version/fingerprint pair — before the suite goes green.
 func TestWireSchemaFingerprintMatchesVersion(t *testing.T) {
 	want, ok := wireSchemaFingerprints[WireVersion]
 	if !ok {
@@ -224,17 +221,56 @@ func TestWireSchemaFingerprintMatchesVersion(t *testing.T) {
 // struct must be locked by the registry, so the static analyzer and the
 // runtime contract can't drift apart.
 func TestWireRegistryCoversAnnotatedTypes(t *testing.T) {
-	annotated := []string{
-		"rpcio.Registration", "rpcio.ApplyRuleArgs", "rpcio.RemoveRuleArgs",
-		"rpcio.SetRateArgs", "rpcio.SetModeArgs", "rpcio.HealthProbe",
-		"rpcio.StageHealth", "rpcio.StageOp", "rpcio.OpResult",
-		"rpcio.BatchArgs", "rpcio.BatchReply", "rpcio.StatsDelta",
-		"rpcio.AggAttachArgs", "rpcio.AggInfo", "rpcio.JobGrant",
-		"rpcio.AggRoundArgs", "rpcio.AggJobDelta", "rpcio.AggRoundReply",
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var annotated []string
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				doc := ts.Doc
+				if doc == nil && len(gd.Specs) == 1 {
+					doc = gd.Doc
+				}
+				if hasWireAnnotation(doc) {
+					annotated = append(annotated, "rpcio."+ts.Name.Name)
+				}
+			}
+		}
+	}
+	if len(annotated) == 0 {
+		t.Fatal("found no //lint:wire annotations in the package sources")
 	}
 	for _, name := range annotated {
 		if _, ok := wireRegistry[name]; !ok {
 			t.Errorf("//lint:wire type %s is not locked by wireRegistry", name)
 		}
 	}
+}
+
+// hasWireAnnotation reports whether a doc comment carries //lint:wire.
+func hasWireAnnotation(doc *ast.CommentGroup) bool {
+	if doc == nil {
+		return false
+	}
+	for _, c := range doc.List {
+		if c.Text == "//lint:wire" || strings.HasPrefix(c.Text, "//lint:wire ") {
+			return true
+		}
+	}
+	return false
 }

@@ -50,15 +50,13 @@ import (
 )
 
 // wireMagic is the first four bytes of every frame: "PDLL" read as a
-// little-endian uint32. It doubles as the protocol sniff byte sequence
-// ServeService uses to route a fresh connection to the frame handler
-// instead of net/rpc.
+// little-endian uint32.
 const wireMagic uint32 = 0x4C4C4450
 
 // WireVersion is the binary codec's schema version. Bump it on any
-// change to the frame header or to a wire struct's field set, together
-// with wireSchemaFingerprints.
-const WireVersion = 2
+// change to the frame header, to the method table, or to a wire
+// struct's field set, together with wireSchemaFingerprints.
+const WireVersion = 3
 
 // wireSchemaFingerprints records the sha256 fingerprint of the full
 // wire schema (every struct's ordered field list, as locked by
@@ -69,6 +67,9 @@ var wireSchemaFingerprints = map[int]string{
 	1: "sha256:201892b0bea5b6b7b65eb6fc63cfe170d216c310bd060ae6459ed5ecb531b237",
 	// v2: aggregator tier (Agg.Attach, Agg.Round and their six structs).
 	2: "sha256:379b1c97969b14109043ab048a227896457789d1e7ed75395796cfa5cd1c6081",
+	// v3: per-call stage methods retired (their four args structs and
+	// stage.Stats leave the schema); the registrar moves onto frames.
+	3: "sha256:4ba90da4b79e5b7a1a6c951a1db36ec1a588ecc66b476fb50b2cad29ff45fb63",
 }
 
 // Frame kinds.
@@ -76,46 +77,63 @@ const (
 	frameRequest uint8 = 1
 	frameReply   uint8 = 2
 	// frameError carries a service-side application error as a string
-	// payload. Like rpc.ServerError it means the wire worked and the
-	// peer answered; transports do not retry it.
+	// payload: the wire worked and the peer answered, so transports do
+	// not retry it.
 	frameError uint8 = 3
 )
 
-// methodID numbers the control-service methods on the wire.
-type methodID uint8
+// Method numbers a frame method on the wire. Numbers are permanent: a
+// retired method's number is never reassigned, so a frame from a stale
+// peer can only fail as an unknown method, never decode as another.
+type Method uint8
 
 const (
 	// methodAttach is the mux handshake: request payload is the raw
 	// stage-ID bytes, reply payload is the uvarint channel to address
 	// that stage's service on this listener.
-	methodAttach methodID = iota + 1
-	methodApplyRule
-	methodRemoveRule
-	methodSetRate
-	methodCollect
-	methodSetMode
-	methodPing
-	methodHealth
-	methodBatch
-	// Aggregator-tier methods (agg.go), dispatched to AggServices on the
-	// same mux.
-	methodAggAttach
-	methodAggRound
+	methodAttach Method = 1
+	// 2–7 carried the retired per-call stage methods (ApplyRule,
+	// RemoveRule, SetRate, Collect, SetMode, Ping); a one-op Batch
+	// covers each of them.
+
+	// MethodHealth reports a stage's liveness and degraded accounting.
+	MethodHealth Method = 8
+	// MethodBatch runs a round's stage operations and an optional
+	// incremental collect (batch.go).
+	MethodBatch Method = 9
+	// MethodAggAttach and MethodAggRound are the aggregator tier
+	// (agg.go), dispatched to AggServices on the same mux.
+	MethodAggAttach Method = 10
+	MethodAggRound  Method = 11
+	// MethodRegister, MethodDeregister and MethodRegistrarPing are the
+	// control plane's registrar: a stage announcing itself at job start,
+	// its departure, and the liveness probe behind degraded mode.
+	MethodRegister      Method = 12
+	MethodDeregister    Method = 13
+	MethodRegistrarPing Method = 14
 )
 
-// methodIDs maps the Transport.Call method strings (shared with the
-// net/rpc codec) to wire method numbers.
-var methodIDs = map[string]methodID{
-	"Stage.ApplyRule":  methodApplyRule,
-	"Stage.RemoveRule": methodRemoveRule,
-	"Stage.SetRate":    methodSetRate,
-	"Stage.Collect":    methodCollect,
-	"Stage.SetMode":    methodSetMode,
-	"Stage.Ping":       methodPing,
-	"Stage.Health":     methodHealth,
-	"Stage.Batch":      methodBatch,
-	"Agg.Attach":       methodAggAttach,
-	"Agg.Round":        methodAggRound,
+// String names the method for error messages.
+func (m Method) String() string {
+	switch m {
+	case methodAttach:
+		return "attach"
+	case MethodHealth:
+		return "Stage.Health"
+	case MethodBatch:
+		return "Stage.Batch"
+	case MethodAggAttach:
+		return "Agg.Attach"
+	case MethodAggRound:
+		return "Agg.Round"
+	case MethodRegister:
+		return "Registrar.Register"
+	case MethodDeregister:
+		return "Registrar.Deregister"
+	case MethodRegistrarPing:
+		return "Registrar.Ping"
+	}
+	return fmt.Sprintf("method(%d)", uint8(m))
 }
 
 const (
@@ -130,7 +148,7 @@ const (
 // frameHeader is the decoded fixed-width header.
 type frameHeader struct {
 	kind    uint8
-	method  methodID
+	method  Method
 	flags   uint8
 	stream  uint64
 	channel uint32
@@ -165,7 +183,7 @@ func parseFrameHeader(b []byte) (frameHeader, error) {
 	}
 	h := frameHeader{
 		kind:    b[5],
-		method:  methodID(b[6]),
+		method:  Method(b[6]),
 		flags:   b[7],
 		stream:  binary.LittleEndian.Uint64(b[8:]),
 		channel: binary.LittleEndian.Uint32(b[16:]),
@@ -430,23 +448,6 @@ func readQueueStatsSlice(r *wireReader, dst []stage.QueueStats) []stage.QueueSta
 	return dst
 }
 
-func appendStats(b []byte, v *stage.Stats) []byte {
-	b = appendInfo(b, &v.Info)
-	b = appendQueueStatsSlice(b, v.Queues)
-	b = binary.AppendVarint(b, v.Passthrough)
-	b = appendBool(b, v.Degraded)
-	b = appendF64(b, v.DegradedSeconds)
-	return b
-}
-
-func readStats(r *wireReader, v *stage.Stats) {
-	readInfo(r, &v.Info)
-	v.Queues = readQueueStatsSlice(r, v.Queues)
-	v.Passthrough = r.varint()
-	v.Degraded = r.boolv()
-	v.DegradedSeconds = r.f64()
-}
-
 func appendMatcher(b []byte, v *policy.Matcher) []byte {
 	b = binary.AppendUvarint(b, uint64(len(v.Ops)))
 	for _, op := range v.Ops {
@@ -506,41 +507,6 @@ func appendRegistration(b []byte, v *Registration) []byte {
 func readRegistration(r *wireReader, v *Registration) {
 	readInfo(r, &v.Info)
 	v.Addr = r.str()
-}
-
-func appendApplyRuleArgs(b []byte, v *ApplyRuleArgs) []byte {
-	return appendRule(b, &v.Rule)
-}
-
-func readApplyRuleArgs(r *wireReader, v *ApplyRuleArgs) {
-	readRule(r, &v.Rule)
-}
-
-func appendRemoveRuleArgs(b []byte, v *RemoveRuleArgs) []byte {
-	return appendString(b, v.ID)
-}
-
-func readRemoveRuleArgs(r *wireReader, v *RemoveRuleArgs) {
-	v.ID = r.str()
-}
-
-func appendSetRateArgs(b []byte, v *SetRateArgs) []byte {
-	b = appendString(b, v.ID)
-	b = appendF64(b, v.Rate)
-	return b
-}
-
-func readSetRateArgs(r *wireReader, v *SetRateArgs) {
-	v.ID = r.str()
-	v.Rate = r.f64()
-}
-
-func appendSetModeArgs(b []byte, v *SetModeArgs) []byte {
-	return binary.AppendVarint(b, int64(v.Mode))
-}
-
-func readSetModeArgs(r *wireReader, v *SetModeArgs) {
-	v.Mode = stage.Mode(r.varint())
 }
 
 func appendHealthProbe(b []byte, v *HealthProbe) []byte {
@@ -803,107 +769,89 @@ func readAggRoundReply(r *wireReader, v *AggRoundReply) {
 
 // appendCallArgs encodes one method's args. The any values are the same
 // pointer forms Transport.Call receives.
-func appendCallArgs(b []byte, m methodID, args any) ([]byte, error) {
+func appendCallArgs(b []byte, m Method, args any) ([]byte, error) {
 	switch m {
-	case methodApplyRule:
-		return appendApplyRuleArgs(b, args.(*ApplyRuleArgs)), nil
-	case methodRemoveRule:
-		return appendRemoveRuleArgs(b, args.(*RemoveRuleArgs)), nil
-	case methodSetRate:
-		return appendSetRateArgs(b, args.(*SetRateArgs)), nil
-	case methodCollect, methodPing:
-		return b, nil // no arguments
-	case methodSetMode:
-		return appendSetModeArgs(b, args.(*SetModeArgs)), nil
-	case methodHealth:
+	case MethodHealth, MethodRegistrarPing:
 		return appendHealthProbe(b, args.(*HealthProbe)), nil
-	case methodBatch:
+	case MethodBatch:
 		return appendBatchArgs(b, args.(*BatchArgs)), nil
-	case methodAggAttach:
+	case MethodAggAttach:
 		return appendAggAttachArgs(b, args.(*AggAttachArgs)), nil
-	case methodAggRound:
+	case MethodAggRound:
 		return appendAggRoundArgs(b, args.(*AggRoundArgs)), nil
+	case MethodRegister:
+		return appendRegistration(b, args.(*Registration)), nil
+	case MethodDeregister:
+		// The payload is the raw stage ID, as attach's is.
+		return append(b, *args.(*string)...), nil
 	default:
-		return b, fmt.Errorf("rpcio: encode: unknown method %d", m)
+		return b, fmt.Errorf("rpcio: encode: unknown %v", m)
 	}
 }
 
 // readCallArgs decodes one method's args payload into the pointed-to
 // struct, fully overwriting it (slice capacity is reused).
-func readCallArgs(m methodID, payload []byte, args any) error {
+func readCallArgs(m Method, payload []byte, args any) error {
 	r := wireReader{buf: payload}
 	switch m {
-	case methodApplyRule:
-		readApplyRuleArgs(&r, args.(*ApplyRuleArgs))
-	case methodRemoveRule:
-		readRemoveRuleArgs(&r, args.(*RemoveRuleArgs))
-	case methodSetRate:
-		readSetRateArgs(&r, args.(*SetRateArgs))
-	case methodCollect, methodPing:
-		// no arguments
-	case methodSetMode:
-		readSetModeArgs(&r, args.(*SetModeArgs))
-	case methodHealth:
+	case MethodHealth, MethodRegistrarPing:
 		readHealthProbe(&r, args.(*HealthProbe))
-	case methodBatch:
+	case MethodBatch:
 		readBatchArgs(&r, args.(*BatchArgs))
-	case methodAggAttach:
+	case MethodAggAttach:
 		readAggAttachArgs(&r, args.(*AggAttachArgs))
-	case methodAggRound:
+	case MethodAggRound:
 		readAggRoundArgs(&r, args.(*AggRoundArgs))
+	case MethodRegister:
+		readRegistration(&r, args.(*Registration))
+	case MethodDeregister:
+		*args.(*string) = string(payload)
+		return nil
 	default:
-		return fmt.Errorf("rpcio: decode: unknown method %d", m)
+		return fmt.Errorf("rpcio: decode: unknown %v", m)
 	}
 	return r.done()
 }
 
 // appendCallReply encodes one method's reply.
-func appendCallReply(b []byte, m methodID, reply any) ([]byte, error) {
+func appendCallReply(b []byte, m Method, reply any) ([]byte, error) {
 	switch m {
-	case methodApplyRule, methodSetMode:
-		return b, nil // empty reply
-	case methodRemoveRule, methodSetRate:
-		return appendBool(b, *reply.(*bool)), nil
-	case methodCollect:
-		return appendStats(b, reply.(*stage.Stats)), nil
-	case methodPing:
-		return appendInfo(b, reply.(*stage.Info)), nil
-	case methodHealth:
+	case MethodHealth:
 		return appendStageHealth(b, reply.(*StageHealth)), nil
-	case methodBatch:
+	case MethodBatch:
 		return appendBatchReply(b, reply.(*BatchReply)), nil
-	case methodAggAttach:
+	case MethodAggAttach:
 		return appendAggInfo(b, reply.(*AggInfo)), nil
-	case methodAggRound:
+	case MethodAggRound:
 		return appendAggRoundReply(b, reply.(*AggRoundReply)), nil
+	case MethodRegister, MethodDeregister:
+		return b, nil // empty reply
+	case MethodRegistrarPing:
+		return appendHealthProbe(b, reply.(*HealthProbe)), nil
 	default:
-		return b, fmt.Errorf("rpcio: encode: unknown method %d", m)
+		return b, fmt.Errorf("rpcio: encode: unknown %v", m)
 	}
 }
 
 // readCallReply decodes one method's reply payload into the pointed-to
 // value, fully overwriting it.
-func readCallReply(m methodID, payload []byte, reply any) error {
+func readCallReply(m Method, payload []byte, reply any) error {
 	r := wireReader{buf: payload}
 	switch m {
-	case methodApplyRule, methodSetMode:
-		// empty reply
-	case methodRemoveRule, methodSetRate:
-		*reply.(*bool) = r.boolv()
-	case methodCollect:
-		readStats(&r, reply.(*stage.Stats))
-	case methodPing:
-		readInfo(&r, reply.(*stage.Info))
-	case methodHealth:
+	case MethodHealth:
 		readStageHealth(&r, reply.(*StageHealth))
-	case methodBatch:
+	case MethodBatch:
 		readBatchReply(&r, reply.(*BatchReply))
-	case methodAggAttach:
+	case MethodAggAttach:
 		readAggInfo(&r, reply.(*AggInfo))
-	case methodAggRound:
+	case MethodAggRound:
 		readAggRoundReply(&r, reply.(*AggRoundReply))
+	case MethodRegister, MethodDeregister:
+		// empty reply
+	case MethodRegistrarPing:
+		readHealthProbe(&r, reply.(*HealthProbe))
 	default:
-		return fmt.Errorf("rpcio: decode: unknown method %d", m)
+		return fmt.Errorf("rpcio: decode: unknown %v", m)
 	}
 	return r.done()
 }
@@ -914,35 +862,29 @@ func readCallReply(m methodID, payload []byte, reply any) error {
 // a wire struct without extending its codec (and bumping WireVersion)
 // fails the build's tests rather than silently truncating frames.
 var codecFieldCoverage = map[string]int{
-	"rpcio.Registration":   2,
-	"rpcio.ApplyRuleArgs":  1,
-	"rpcio.RemoveRuleArgs": 1,
-	"rpcio.SetRateArgs":    2,
-	"rpcio.SetModeArgs":    1,
-	"rpcio.HealthProbe":    1,
-	"rpcio.StageHealth":    5,
-	"rpcio.StageOp":        5,
-	"rpcio.OpResult":       1,
-	"rpcio.BatchArgs":      5,
-	"rpcio.BatchReply":     2,
-	"rpcio.StatsDelta":     9,
-	"rpcio.AggAttachArgs":  1,
-	"rpcio.AggInfo":        4,
-	"rpcio.JobGrant":       2,
-	"rpcio.AggRoundArgs":   2,
-	"rpcio.AggJobDelta":    7,
-	"rpcio.AggRoundReply":  6,
-	"stage.Info":           5,
-	"stage.Stats":          5,
-	"stage.QueueStats":     12,
-	"policy.Rule":          5,
-	"policy.Matcher":       5,
+	"rpcio.Registration":  2,
+	"rpcio.HealthProbe":   1,
+	"rpcio.StageHealth":   5,
+	"rpcio.StageOp":       5,
+	"rpcio.OpResult":      1,
+	"rpcio.BatchArgs":     5,
+	"rpcio.BatchReply":    2,
+	"rpcio.StatsDelta":    9,
+	"rpcio.AggAttachArgs": 1,
+	"rpcio.AggInfo":       4,
+	"rpcio.JobGrant":      2,
+	"rpcio.AggRoundArgs":  2,
+	"rpcio.AggJobDelta":   7,
+	"rpcio.AggRoundReply": 6,
+	"stage.Info":          5,
+	"stage.QueueStats":    12,
+	"policy.Rule":         5,
+	"policy.Matcher":      5,
 }
 
 // RemoteError is a service-side application error carried back over a
 // frame connection: the wire worked, the stage answered, and the answer
-// was "no". Transports treat it like rpc.ServerError — returned to the
-// caller, never retried.
+// was "no". Transports return it to the caller and never retry it.
 type RemoteError string
 
 // Error implements error.

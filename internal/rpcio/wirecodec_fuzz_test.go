@@ -2,31 +2,26 @@ package rpcio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
-
-	"padll/internal/stage"
 )
 
 // fuzzArgsDst returns a fresh decode destination for a method's args
-// (nil when the method takes none).
-func fuzzArgsDst(m methodID) any {
+// (nil for a number no method answers to).
+func fuzzArgsDst(m Method) any {
 	switch m {
-	case methodApplyRule:
-		return &ApplyRuleArgs{}
-	case methodRemoveRule:
-		return &RemoveRuleArgs{}
-	case methodSetRate:
-		return &SetRateArgs{}
-	case methodSetMode:
-		return &SetModeArgs{}
-	case methodHealth:
+	case MethodHealth, MethodRegistrarPing:
 		return &HealthProbe{}
-	case methodBatch:
+	case MethodBatch:
 		return &BatchArgs{}
-	case methodAggAttach:
+	case MethodAggAttach:
 		return &AggAttachArgs{}
-	case methodAggRound:
+	case MethodAggRound:
 		return &AggRoundArgs{}
+	case MethodRegister:
+		return &Registration{}
+	case MethodDeregister:
+		return new(string)
 	default:
 		return nil
 	}
@@ -34,24 +29,41 @@ func fuzzArgsDst(m methodID) any {
 
 // fuzzReplyDst returns a fresh decode destination for a method's reply
 // (nil when the reply is empty).
-func fuzzReplyDst(m methodID) any {
+func fuzzReplyDst(m Method) any {
 	switch m {
-	case methodRemoveRule, methodSetRate:
-		return new(bool)
-	case methodCollect:
-		return &stage.Stats{}
-	case methodPing:
-		return &stage.Info{}
-	case methodHealth:
+	case MethodHealth:
 		return &StageHealth{}
-	case methodBatch:
+	case MethodBatch:
 		return &BatchReply{}
-	case methodAggAttach:
+	case MethodAggAttach:
 		return &AggInfo{}
-	case methodAggRound:
+	case MethodAggRound:
 		return &AggRoundReply{}
+	case MethodRegistrarPing:
+		return &HealthProbe{}
 	default:
 		return nil
+	}
+}
+
+// headerSeeds returns frame headers built at the current WireVersion,
+// one per parseFrameHeader arm: well-formed, oversize length, version
+// skew, bad magic, and truncated. Built in code rather than frozen in
+// the corpus, so a version bump can never leave them stuck at the
+// version check short of the arm they are meant to reach.
+func headerSeeds() [][]byte {
+	header := func(mutate func([]byte)) []byte {
+		b := make([]byte, frameHeaderLen)
+		putFrameHeader(b, frameHeader{kind: frameRequest, method: MethodBatch, stream: 1, channel: 1})
+		mutate(b)
+		return b
+	}
+	return [][]byte{
+		header(func([]byte) {}),
+		header(func(b []byte) { binary.LittleEndian.PutUint32(b[20:], maxFramePayload+1) }),
+		header(func(b []byte) { b[4] = WireVersion + 1 }),
+		header(func(b []byte) { b[0] ^= 0xFF }),
+		header(func([]byte) {})[:frameHeaderLen-1],
 	}
 }
 
@@ -67,7 +79,7 @@ func fuzzReplyDst(m methodID) any {
 //     and encoder agree on the schema for every reachable value.
 func FuzzWireDecode(f *testing.F) {
 	for _, fx := range callFixtures() {
-		m := methodIDs[fx.method]
+		m := fx.method
 		if fx.args != nil {
 			buf, err := appendCallArgs(nil, m, fx.args)
 			if err != nil {
@@ -83,10 +95,9 @@ func FuzzWireDecode(f *testing.F) {
 			f.Add(uint8(m), true, buf)
 		}
 	}
-	// A well-formed header seed so mutations explore the parser's arms.
-	hdr := make([]byte, frameHeaderLen)
-	putFrameHeader(hdr, frameHeader{kind: frameRequest, method: methodCollect, stream: 1, length: 0})
-	f.Add(uint8(methodCollect), true, hdr)
+	for _, hdr := range headerSeeds() {
+		f.Add(uint8(MethodBatch), true, hdr)
+	}
 
 	f.Fuzz(func(t *testing.T, mRaw uint8, isReply bool, data []byte) {
 		// Surface 1: the frame header parser. Errors are expected for
@@ -98,7 +109,7 @@ func FuzzWireDecode(f *testing.F) {
 		}
 
 		// Surface 2: the per-method payload decoders.
-		m := methodID(mRaw)
+		m := Method(mRaw)
 		var dst any
 		if isReply {
 			dst = fuzzReplyDst(m)

@@ -50,55 +50,20 @@ func maxStats() stage.Stats {
 // callFixture pairs one method's fully-populated args and reply values
 // with matching zero-value destinations.
 type callFixture struct {
-	method   string
-	args     any // pointer to populated args, nil when the method takes none
+	method   Method
+	args     any // pointer to populated args
 	argsDst  any // pointer to zero value of the same type
 	reply    any // pointer to populated reply, nil when the reply is empty
 	replyDst any
 }
 
 func callFixtures() []callFixture {
-	removed := true
-	found := false
 	st := maxStats()
 	info := stage.Info{StageID: "sX", JobID: "jX", Hostname: "hX", PID: -3, User: "uX"}
+	stageID := "s-departing"
 	return []callFixture{
 		{
-			method:  "Stage.ApplyRule",
-			args:    &ApplyRuleArgs{Rule: maxRule("apply-1")},
-			argsDst: &ApplyRuleArgs{},
-		},
-		{
-			method:   "Stage.RemoveRule",
-			args:     &RemoveRuleArgs{ID: "kill-me"},
-			argsDst:  &RemoveRuleArgs{},
-			reply:    &removed,
-			replyDst: new(bool),
-		},
-		{
-			method:   "Stage.SetRate",
-			args:     &SetRateArgs{ID: "q1", Rate: 777.125},
-			argsDst:  &SetRateArgs{},
-			reply:    &found,
-			replyDst: new(bool),
-		},
-		{
-			method:   "Stage.Collect",
-			reply:    &st,
-			replyDst: &stage.Stats{},
-		},
-		{
-			method:  "Stage.SetMode",
-			args:    &SetModeArgs{Mode: stage.Passthrough},
-			argsDst: &SetModeArgs{},
-		},
-		{
-			method:   "Stage.Ping",
-			reply:    &info,
-			replyDst: &stage.Info{},
-		},
-		{
-			method:  "Stage.Health",
+			method:  MethodHealth,
 			args:    &HealthProbe{Seq: 1 << 60},
 			argsDst: &HealthProbe{},
 			reply: &StageHealth{
@@ -108,7 +73,7 @@ func callFixtures() []callFixture {
 			replyDst: &StageHealth{},
 		},
 		{
-			method: "Stage.Batch",
+			method: MethodBatch,
 			args: &BatchArgs{
 				Ops: []StageOp{
 					{Kind: OpApplyRule, Rule: maxRule("b1")},
@@ -136,7 +101,7 @@ func callFixtures() []callFixture {
 			replyDst: &BatchReply{},
 		},
 		{
-			method:  "Agg.Attach",
+			method:  MethodAggAttach,
 			args:    &AggAttachArgs{Seq: 1 << 55},
 			argsDst: &AggAttachArgs{},
 			reply: &AggInfo{
@@ -146,7 +111,7 @@ func callFixtures() []callFixture {
 			replyDst: &AggInfo{},
 		},
 		{
-			method: "Agg.Round",
+			method: MethodAggRound,
 			args: &AggRoundArgs{
 				Grants: []JobGrant{
 					{JobID: "j1", Rate: 30000},
@@ -173,6 +138,23 @@ func callFixtures() []callFixture {
 			},
 			replyDst: &AggRoundReply{},
 		},
+		{
+			method:  MethodRegister,
+			args:    &Registration{Info: info, Addr: "10.0.0.7:7171"},
+			argsDst: &Registration{},
+		},
+		{
+			method:  MethodDeregister,
+			args:    &stageID,
+			argsDst: new(string),
+		},
+		{
+			method:   MethodRegistrarPing,
+			args:     &HealthProbe{Seq: 1<<63 + 1},
+			argsDst:  &HealthProbe{},
+			reply:    &HealthProbe{Seq: 1<<63 + 1},
+			replyDst: &HealthProbe{},
+		},
 	}
 }
 
@@ -184,10 +166,7 @@ func callFixtures() []callFixture {
 // destination struct across calls.
 func TestBinaryCodecRoundTripsEveryMethod(t *testing.T) {
 	for _, fx := range callFixtures() {
-		m, ok := methodIDs[fx.method]
-		if !ok {
-			t.Fatalf("%s: no methodID", fx.method)
-		}
+		m := fx.method
 		if fx.args != nil {
 			buf, err := appendCallArgs(nil, m, fx.args)
 			if err != nil {
@@ -224,24 +203,38 @@ func TestBinaryCodecRoundTripsEveryMethod(t *testing.T) {
 // call; any surviving stale element means a decoder merged instead of
 // overwrote.
 func TestBinaryCodecOverwritesDirtyDestination(t *testing.T) {
-	small := stage.Stats{
-		Info:   stage.Info{StageID: "tiny"},
-		Queues: []stage.QueueStats{{RuleID: "only", Limit: 1}},
+	small := BatchReply{
+		Results: []OpResult{{Found: true}},
+		Delta: StatsDelta{
+			Info:   stage.Info{StageID: "tiny"},
+			Queues: []stage.QueueStats{{RuleID: "only", Limit: 1}},
+		},
 	}
-	buf, err := appendCallReply(nil, methodCollect, &small)
+	buf, err := appendCallReply(nil, MethodBatch, &small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirty := maxStats() // longer queue slice, every scalar non-zero
-	if err := readCallReply(methodCollect, buf, &dirty); err != nil {
+	st := maxStats() // longer queue slice, every scalar non-zero
+	dirty := BatchReply{
+		Results: []OpResult{{Found: false}, {Found: true}},
+		Delta: StatsDelta{
+			Epoch: 9, Gen: 9, Full: true, Info: st.Info, Queues: st.Queues,
+			Removed: []string{"stale"}, Passthrough: st.Passthrough,
+			Degraded: true, DegradedSeconds: st.DegradedSeconds,
+		},
+	}
+	if err := readCallReply(MethodBatch, buf, &dirty); err != nil {
 		t.Fatal(err)
 	}
+	// The decoder reuses dirty's slices, so compare with the empty
+	// Removed slice it leaves behind.
+	small.Delta.Removed = dirty.Delta.Removed[:0]
 	if !reflect.DeepEqual(small, dirty) {
 		t.Errorf("stale state survived decode:\n in: %+v\nout: %+v", small, dirty)
 	}
 
 	bsmall := BatchArgs{Ops: []StageOp{{Kind: OpRemoveRule, ID: "x"}}, ClientID: 1}
-	bbuf, err := appendCallArgs(nil, methodBatch, &bsmall)
+	bbuf, err := appendCallArgs(nil, MethodBatch, &bsmall)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +245,7 @@ func TestBinaryCodecOverwritesDirtyDestination(t *testing.T) {
 		},
 		Collect: true, ClientID: 99, AckEpoch: 9, AckGen: 9,
 	}
-	if err := readCallArgs(methodBatch, bbuf, &bdirty); err != nil {
+	if err := readCallArgs(MethodBatch, bbuf, &bdirty); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(bsmall, bdirty) {
@@ -266,11 +259,11 @@ func TestBinaryCodecOverwritesDirtyDestination(t *testing.T) {
 func TestFrameHeaderRejectsMalformedInput(t *testing.T) {
 	good := make([]byte, frameHeaderLen)
 	putFrameHeader(good, frameHeader{
-		kind: frameRequest, method: methodCollect, stream: 7, channel: 1, length: 10,
+		kind: frameRequest, method: MethodBatch, stream: 7, channel: 1, length: 10,
 	})
 	if h, err := parseFrameHeader(good); err != nil {
 		t.Fatalf("valid header rejected: %v", err)
-	} else if h.kind != frameRequest || h.method != methodCollect || h.stream != 7 || h.channel != 1 || h.length != 10 {
+	} else if h.kind != frameRequest || h.method != MethodBatch || h.stream != 7 || h.channel != 1 || h.length != 10 {
 		t.Fatalf("valid header misparsed: %+v", h)
 	}
 
@@ -300,8 +293,10 @@ func TestFrameHeaderRejectsMalformedInput(t *testing.T) {
 func TestDecoderRejectsTruncatedPayloads(t *testing.T) {
 	fx := callFixtures()
 	for _, f := range fx {
-		m := methodIDs[f.method]
-		if f.args != nil {
+		m := f.method
+		// A deregistration's payload is the raw stage ID, delimited only
+		// by the frame length: every prefix is a valid (shorter) ID.
+		if f.args != nil && m != MethodDeregister {
 			buf, err := appendCallArgs(nil, m, f.args)
 			if err != nil {
 				t.Fatal(err)
@@ -331,12 +326,12 @@ func TestDecoderRejectsTruncatedPayloads(t *testing.T) {
 // TestDecoderRejectsTrailingGarbage appends bytes after a valid payload;
 // done() must flag the leftovers as a schema disagreement.
 func TestDecoderRejectsTrailingGarbage(t *testing.T) {
-	buf, err := appendCallArgs(nil, methodSetRate, &SetRateArgs{ID: "q", Rate: 1})
+	buf, err := appendCallArgs(nil, MethodHealth, &HealthProbe{Seq: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf = append(buf, 0x00)
-	if err := readCallArgs(methodSetRate, buf, &SetRateArgs{}); err == nil {
+	if err := readCallArgs(MethodHealth, buf, &HealthProbe{}); err == nil {
 		t.Error("trailing byte after args payload decoded without error")
 	}
 }
@@ -346,7 +341,7 @@ func TestDecoderRejectsTrailingGarbage(t *testing.T) {
 // independent handles collecting it (each with its own delta state over
 // the shared multiplexed connection), and a direct in-process Collect
 // as ground truth. After every mutation all three snapshots must be
-// byte-identical under a canonical encoding. Halfway through, the
+// equal. Halfway through, the
 // server is torn down and rebuilt on the same port with a fresh stage
 // (same ID): both live handles must redial, detect the epoch change,
 // resync with a full snapshot, and converge again.
@@ -374,7 +369,7 @@ func TestHandleEquivalenceProperty(t *testing.T) {
 
 	checkConverged := func(step string) {
 		t.Helper()
-		want := gobBytes(t, stg.Collect())
+		want := stg.Collect()
 		stBin, err := hBin.CollectDelta()
 		if err != nil {
 			t.Fatalf("%s: binary collect: %v", step, err)
@@ -383,10 +378,10 @@ func TestHandleEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: second-handle collect: %v", step, err)
 		}
-		if got := gobBytes(t, stBin); !reflect.DeepEqual(got, want) {
+		if !sameStats(stBin, want) {
 			t.Fatalf("%s: binary snapshot diverged from direct Collect:\nbin:    %+v\ndirect: %+v", step, stBin, stg.Collect())
 		}
-		if got := gobBytes(t, stAlt); !reflect.DeepEqual(got, want) {
+		if !sameStats(stAlt, want) {
 			t.Fatalf("%s: second handle diverged from direct Collect:\nalt:    %+v\ndirect: %+v", step, stAlt, stg.Collect())
 		}
 	}

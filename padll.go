@@ -130,8 +130,8 @@ const (
 var ErrRateLimited = stage.ErrRateLimited
 
 // WireVersion is the binary frame protocol version this build speaks —
-// the control plane's only wire since the legacy gob path's one-release
-// compatibility window closed. Decoders reject frames from any other
+// the control plane's only wire, carrying stage, aggregator and
+// registrar traffic alike. Decoders reject frames from any other
 // version rather than guessing at field layouts.
 const WireVersion = rpcio.WireVersion
 
