@@ -6,10 +6,11 @@ GO ?= go
 .PHONY: all build test race fuzz-smoke bench bench-all bench-smoke bench-diff vet fmt lint lint-self fix-smoke wire-deps ci experiments tools clean
 
 # Hot-path packages benchmarked by `make bench`: the data-plane fast
-# path plus the io/fs bridge (vfs/osfs bridge-vs-direct overhead).
+# path, the interposition layer ladder (backend → +stage → +shim →
+# +router) and the io/fs bridge (vfs/osfs bridge-vs-direct overhead).
 BENCH_PKGS = ./internal/stage/... ./internal/metrics/... \
              ./internal/tokenbucket/... ./internal/policy/... \
-             ./internal/vfs/...
+             ./internal/interpose/... ./internal/vfs/...
 
 # Control-plane packages benchmarked by `make bench` (the fleet feedback
 # loop: batched wire protocol, delta collection, RunOnce at scale).
@@ -23,11 +24,13 @@ build:
 test:
 	$(GO) test ./...
 
-# Control-plane packages under the race detector, twice: -count=2
+# Control-plane packages, plus the router's descriptor table and the
+# shim's in-place forwarding, under the race detector, twice: -count=2
 # defeats the test cache and shakes out order-dependent state, which is
 # how the chaos determinism tests are meant to be run.
 race:
-	$(GO) test -race -count=2 ./internal/stage/... ./internal/control/... ./internal/rpcio/... ./internal/tokenbucket/...
+	$(GO) test -race -count=2 ./internal/stage/... ./internal/control/... ./internal/rpcio/... ./internal/tokenbucket/... \
+		./internal/mount/... ./internal/interpose/...
 
 # 10-second smoke run of each fuzz target (go allows one -fuzz per
 # invocation). The checked-in corpora under testdata/fuzz replay on every
@@ -41,15 +44,16 @@ fuzz-smoke:
 # Hot-path microbenchmarks at 1, 4 and 8 simulated CPUs, then the
 # control-plane fleet benchmarks; the raw `go test -json` event streams
 # land in BENCH_stage.json / BENCH_control.json so runs can be diffed
-# against the committed baselines. The fleet benchmarks run at the
-# default CPU count only: they measure wall-clock rounds over live
-# sockets, not CPU-parallel hot paths. -count=3 gives the baseline the
-# same minimum-of-three estimate bench-diff uses on the fresh side, so
-# the gate never compares against a single unlucky (or lucky) sample.
+# against the committed baselines. The fleet benchmarks run at -cpu=1
+# only: they measure wall-clock rounds over live sockets, not
+# CPU-parallel hot paths, and a pinned setting keeps their names free
+# of a host-dependent -N suffix. -count=3 gives the baseline the same
+# minimum-of-three estimate bench-diff uses on the fresh side, so the
+# gate never compares against a single unlucky (or lucky) sample.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -cpu=1,4,8 -count=3 -json $(BENCH_PKGS) \
 		| $(GO) run ./cmd/padll-benchfmt -raw BENCH_stage.json
-	$(GO) test -run='^$$' -bench=. -benchmem -count=3 -json $(BENCH_CONTROL_PKGS) \
+	$(GO) test -run='^$$' -bench=. -benchmem -cpu=1 -count=3 -json $(BENCH_CONTROL_PKGS) \
 		| $(GO) run ./cmd/padll-benchfmt -raw BENCH_control.json
 
 bench-all:
@@ -70,12 +74,14 @@ bench-all:
 # cancels out of. Steady-state ratios on an idle box are ~1.2x/1.2x/
 # 1.1x (stat/walk/readfile); the limits leave noise margin while still
 # catching any real regression, which costs microseconds, not percent.
+# The interposition ladder is gated the same way: a getattr through
+# shim and router against the bare backend, ~1.4x on an idle box.
 bench-diff:
-	$(GO) test -run='^$$' -bench=. -benchmem -count=3 -json $(BENCH_CONTROL_PKGS) \
+	$(GO) test -run='^$$' -bench=. -benchmem -cpu=1 -count=3 -json $(BENCH_CONTROL_PKGS) \
 		| $(GO) run ./cmd/padll-benchfmt -diff BENCH_control.json -ns-tolerance 0.5
 	$(GO) test -run='^$$' -bench=. -benchmem -count=3 -cpu=4 -json $(BENCH_PKGS) \
 		| $(GO) run ./cmd/padll-benchfmt -diff BENCH_stage.json -ns-tolerance 0.5 \
-			-ratio 'BenchmarkOSBridgeStat-4/BenchmarkOSDirectStat-4<=1.6,BenchmarkOSBridgeWalkDir-4/BenchmarkOSDirectWalkDir-4<=1.6,BenchmarkOSBridgeReadFile-4/BenchmarkOSDirectReadFile-4<=1.6'
+			-ratio 'BenchmarkOSBridgeStat-4/BenchmarkOSDirectStat-4<=1.6,BenchmarkOSBridgeWalkDir-4/BenchmarkOSDirectWalkDir-4<=1.6,BenchmarkOSBridgeReadFile-4/BenchmarkOSDirectReadFile-4<=1.6,BenchmarkLadderGetattrShimRouter-4/BenchmarkLadderGetattrBackend-4<=1.8'
 
 # One-iteration pass over every hot-path and control-plane benchmark:
 # catches bitrot (compile errors, panics, b.Fatal) without paying for
@@ -141,7 +147,7 @@ ci:
 	$(MAKE) wire-deps
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test ./internal/posix/... ./internal/vfs/... ./internal/stage/...
+	$(GO) test ./internal/posix/... ./internal/localfs/... ./internal/interpose/... ./internal/vfs/... ./internal/stage/...
 	$(MAKE) race
 	$(MAKE) bench-smoke
 	$(MAKE) bench-diff

@@ -15,6 +15,7 @@ package interpose
 
 import (
 	"sync/atomic"
+	"time"
 
 	"padll/internal/clock"
 	"padll/internal/metrics"
@@ -30,15 +31,20 @@ type ControlDecider func(req *posix.Request) bool
 // Shim is the interposition layer. It implements posix.FileSystem.
 type Shim struct {
 	backend posix.FileSystem
-	stg     *stage.Stage
-	clk     clock.Clock
-	decide  ControlDecider
+	// router is the backend when it is a *mount.Router and no decider
+	// was given: the shim then resolves each request once and decides
+	// and forwards from that one route. Nil otherwise.
+	router *mount.Router
+	decide ControlDecider // used only when router is nil
+	stg    *stage.Stage
+	clk    clock.Clock
 
-	intercepted atomic.Int64
-	controlled  atomic.Int64
-	bypassed    atomic.Int64
-	perOp       [posix.NumOps]atomic.Int64
-	latency     *metrics.Histogram // end-to-end latency of controlled calls
+	// Every call lands in exactly one of controlled and bypassed, so
+	// their sum is the interception count.
+	controlled atomic.Int64
+	bypassed   atomic.Int64
+	perOp      [posix.NumOps]atomic.Int64
+	latency    *metrics.Histogram // end-to-end latency of controlled calls
 }
 
 var _ posix.FileSystem = (*Shim)(nil)
@@ -63,16 +69,15 @@ func New(backend posix.FileSystem, stg *stage.Stage, clk clock.Clock, opts ...Op
 		clk:     clk,
 		latency: metrics.NewLatencyHistogram(),
 	}
-	if r, ok := backend.(*mount.Router); ok {
-		s.decide = func(req *posix.Request) bool {
-			m, ok := r.ResolveRequest(req)
-			return ok && m.Controlled
-		}
-	} else {
-		s.decide = func(*posix.Request) bool { return true }
-	}
 	for _, o := range opts {
 		o(s)
+	}
+	if s.decide == nil {
+		if r, ok := backend.(*mount.Router); ok {
+			s.router = r
+		} else {
+			s.decide = func(*posix.Request) bool { return true }
+		}
 	}
 	return s
 }
@@ -82,33 +87,60 @@ func New(backend posix.FileSystem, stg *stage.Stage, clk clock.Clock, opts ...Op
 //
 //lint:hotpath
 func (s *Shim) Apply(req *posix.Request, rep *posix.Reply) error {
-	s.intercepted.Add(1)
 	if req.Op.Valid() {
 		s.perOp[req.Op].Add(1)
 	}
 	if req.Issued.IsZero() {
-		req.Issued = s.clk.Now()
+		req.Issued = s.stg.HotNow()
 	}
 
-	if !s.decide(req) {
+	var rt mount.Route
+	var routeErr error
+	var controlled bool
+	if s.router != nil {
+		// An unresolvable request is bypassed and fails below; a
+		// rename off a controlled mount is enforced, then fails.
+		rt, routeErr = s.router.Route(req)
+		controlled = rt.M != nil && rt.M.Controlled
+	} else {
+		controlled = s.decide(req)
+	}
+
+	if !controlled {
 		// Requests to file systems other than the PFS are submitted
 		// directly, without any throttling (§III-A).
 		s.bypassed.Add(1)
-		return s.backend.Apply(req, rep)
+		return s.forward(rt, routeErr, req, rep)
 	}
 
-	n := s.controlled.Add(1)
+	// Sample end-to-end latency 1-in-64 with exact clock reads: the
+	// histogram is diagnostic, and a clock read per call would dominate
+	// the interposition cost the overhead experiment measures.
+	sampled := s.controlled.Add(1)&63 == 0
+	var start time.Time
+	if sampled {
+		start = s.clk.Now()
+	}
 	if err := s.stg.Enforce(req); err != nil {
 		return err
 	}
-	err := s.backend.Apply(req, rep)
-	// Sample end-to-end latency 1-in-64: the histogram is diagnostic,
-	// and an extra clock read per call would dominate the interposition
-	// cost the overhead experiment measures.
-	if n&63 == 0 {
-		s.latency.Observe(s.clk.Now().Sub(req.Issued))
+	err := s.forward(rt, routeErr, req, rep)
+	if sampled {
+		s.latency.Observe(s.clk.Now().Sub(start))
 	}
 	return err
+}
+
+// forward submits req below the shim: along the route Apply resolved
+// when the shim routes, through the backend's own Apply otherwise.
+func (s *Shim) forward(rt mount.Route, routeErr error, req *posix.Request, rep *posix.Reply) error {
+	if s.router == nil {
+		return s.backend.Apply(req, rep)
+	}
+	if routeErr != nil {
+		return routeErr
+	}
+	return s.router.ApplyRoute(rt, req, rep)
 }
 
 // Stats reports interception counters.
@@ -129,12 +161,12 @@ type Stats struct {
 // Stats snapshots the shim's counters.
 func (s *Shim) Stats() Stats {
 	out := Stats{
-		Intercepted:        s.intercepted.Load(),
 		Controlled:         s.controlled.Load(),
 		Bypassed:           s.bypassed.Load(),
 		PerOp:              make(map[posix.Op]int64),
 		MeanLatencySeconds: s.latency.Mean(),
 	}
+	out.Intercepted = out.Controlled + out.Bypassed
 	for i := range s.perOp {
 		if n := s.perOp[i].Load(); n > 0 {
 			out.PerOp[posix.Op(i)] = n

@@ -268,3 +268,52 @@ func TestConcurrentInterposition(t *testing.T) {
 		t.Errorf("queue total = %d, want %d", qs.Total, want)
 	}
 }
+
+// A rename off the controlled mount is classified by its source, so it
+// is enforced — taking its token — before the router fails it as a
+// cross-device move. A policing rule with one token makes the
+// consumption visible: the second attempt finds the bucket empty.
+func TestCrossMountRenameIsEnforcedThenEXDEV(t *testing.T) {
+	clk := clock.NewSim(epoch)
+	shim, c, stg := rig(t, clk, stage.Enforce)
+	stg.ApplyRule(policy.Rule{ID: "renames", Match: policy.Matcher{Ops: []posix.Op{posix.OpRename}},
+		Rate: 0.000001, Burst: 1, Action: policy.ActionDrop})
+
+	if err := c.Rename("/pfs/f", "/home/f"); err != posix.ErrCrossDevice {
+		t.Fatalf("cross-mount rename = %v, want ErrCrossDevice", err)
+	}
+	st := shim.Stats()
+	if st.Controlled != 1 || st.Bypassed != 0 {
+		t.Errorf("controlled/bypassed = %d/%d, want 1/0", st.Controlled, st.Bypassed)
+	}
+	if q := stg.Collect().Queues[0]; q.Total != 1 {
+		t.Errorf("rename queue admitted %d, want 1", q.Total)
+	}
+	if err := c.Rename("/pfs/f", "/home/f"); err != stage.ErrRateLimited {
+		t.Errorf("second rename = %v, want ErrRateLimited (first one took the only token)", err)
+	}
+}
+
+// Requests the router cannot place — a descriptor it never issued, a
+// path under no mount — bypass the stage and fail with the router's
+// error.
+func TestUnroutableRequestsAreBypassed(t *testing.T) {
+	clk := clock.NewSim(epoch)
+	router, err := mount.NewRouter(mount.Mount{Prefix: "/pfs", FS: localfs.New(clk), Controlled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shim := New(router, stage.New(stage.Info{StageID: "s"}, clk), clk)
+	c := posix.NewClient(shim)
+
+	if _, err := c.FStat(9999); err != posix.ErrBadFD {
+		t.Errorf("fstat of unknown fd = %v, want ErrBadFD", err)
+	}
+	if _, err := c.GetAttr("/elsewhere/f"); err != posix.ErrNotExist {
+		t.Errorf("getattr of unmounted path = %v, want ErrNotExist", err)
+	}
+	st := shim.Stats()
+	if st.Controlled != 0 || st.Bypassed != 2 {
+		t.Errorf("controlled/bypassed = %d/%d, want 0/2", st.Controlled, st.Bypassed)
+	}
+}

@@ -104,8 +104,12 @@ func (fs *FS) lookup(p string) (*node, error) {
 	if p == "/" {
 		return fs.root, nil
 	}
+	// Walk the components in place: a cleaned path has no empty ones,
+	// and cutting instead of splitting keeps every lookup alloc-free.
 	cur := fs.root
-	for _, part := range strings.Split(strings.TrimPrefix(p, "/"), "/") {
+	for rest := p[1:]; rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, "/")
 		if !cur.isDir() {
 			return nil, posix.ErrNotDir
 		}

@@ -843,3 +843,32 @@ func TestTypedClientSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Path lookup walks components in place, so a getattr — hit or miss —
+// allocates nothing.
+func TestLookupZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not meaningful under the race detector")
+	}
+	_, c := newFS()
+	for _, d := range []string{"/d", "/d/e"} {
+		if err := c.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fd, err := c.Creat("/d/e/f", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close(fd)
+	if avg := testing.AllocsPerRun(1000, func() {
+		if _, err := c.GetAttr("/d/e/f"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.GetAttr("/d/x/f"); err != posix.ErrNotExist {
+			t.Fatalf("getattr of missing path = %v, want ErrNotExist", err)
+		}
+	}); avg != 0 {
+		t.Errorf("getattr allocates %.3f allocs/op, want 0", avg)
+	}
+}

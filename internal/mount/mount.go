@@ -32,9 +32,14 @@ type Mount struct {
 
 // Router routes requests to mounted backends. It implements
 // posix.FileSystem and is safe for concurrent use.
+//
+// The mount table is immutable after NewRouter (there is no mutator, and
+// Mounts hands out a copy), so path resolution reads it without a lock;
+// mu guards only the descriptor table.
 type Router struct {
-	mu     sync.RWMutex
 	mounts []Mount // sorted by descending prefix length for longest match
+
+	mu     sync.RWMutex
 	fds    map[int]fdEntry
 	nextFD int
 }
@@ -84,23 +89,24 @@ func normalize(p string) string {
 	return p
 }
 
-// Resolve returns the mount serving path, or nil when no mount matches.
+// Resolve returns the mount serving path by longest-prefix match, or nil
+// when no mount matches. A path that is not rooted matches as if it
+// were: the leading "/" of each prefix is skipped instead of prepended
+// to the path, so no string is built per call.
 func (r *Router) Resolve(path string) *Mount {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.resolveLocked(path)
-}
-
-func (r *Router) resolveLocked(path string) *Mount {
-	if !strings.HasPrefix(path, "/") {
-		path = "/" + path
-	}
+	rooted := strings.HasPrefix(path, "/")
 	for i := range r.mounts {
 		m := &r.mounts[i]
-		if m.Prefix == "/" {
+		p := m.Prefix
+		if p == "/" {
 			return m
 		}
-		if path == m.Prefix || strings.HasPrefix(path, m.Prefix+"/") {
+		if !rooted {
+			p = p[1:]
+		}
+		// The prefix must end at a path boundary: "/scratch" serves
+		// "/scratch" and "/scratch/a" but not "/scratchy".
+		if strings.HasPrefix(path, p) && (len(path) == len(p) || path[len(p)] == '/') {
 			return m
 		}
 	}
@@ -111,17 +117,10 @@ func (r *Router) resolveLocked(path string) *Mount {
 // path-based operations, by descriptor for fd-based ones. The second
 // result reports whether resolution succeeded.
 func (r *Router) ResolveRequest(req *posix.Request) (*Mount, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if req.Path != "" {
-		m := r.resolveLocked(req.Path)
-		return m, m != nil
-	}
-	e, ok := r.fds[req.FD]
-	if !ok {
-		return nil, false
-	}
-	return e.mount, true
+	// Route's error only says whether req can be forwarded; the mount
+	// is known whenever M is set.
+	rt, _ := r.Route(req)
+	return rt.M, rt.M != nil
 }
 
 // relativize rewrites a full path to the backend's namespace: the mount
@@ -151,76 +150,111 @@ func closesFD(op posix.Op) bool {
 	return op == posix.OpClose || op == posix.OpClosedir
 }
 
-// Apply implements posix.FileSystem: it resolves the target mount,
-// rewrites paths and descriptors, forwards the request, and maintains the
-// virtual descriptor table. The rewritten copy lives on pooled scratch so
-// routing adds no per-call allocation.
-func (r *Router) Apply(req *posix.Request, rep *posix.Reply) error {
-	var m *Mount
-	fwd := posix.GetRequest()
-	*fwd = *req // shallow copy; we rewrite Path/NewPath/FD
+// Route is one request's resolved destination.
+type Route struct {
+	// M is the mount the request's path or descriptor resolved to; nil
+	// when it resolved to none.
+	M *Mount
+	// FD is the backend's own descriptor behind a virtual one, for
+	// fd-based requests.
+	FD int
+}
 
-	if req.Path != "" {
-		r.mu.RLock()
-		m = r.resolveLocked(req.Path)
-		r.mu.RUnlock()
-		if m == nil {
-			posix.PutRequest(fwd)
-			return posix.ErrNotExist
-		}
-		fwd.Path = relativize(m, req.Path)
-		if req.NewPath != "" {
-			nm := r.Resolve(req.NewPath)
-			if nm == nil {
-				posix.PutRequest(fwd)
-				return posix.ErrNotExist
-			}
-			if nm != m {
-				// rename/link across mounts is EXDEV, as in POSIX.
-				posix.PutRequest(fwd)
-				return posix.ErrCrossDevice
-			}
-			fwd.NewPath = relativize(m, req.NewPath)
-		}
-	} else {
+// Route resolves req once: its path, or else its descriptor, to a mount.
+// A non-nil error means the request cannot be forwarded. When the
+// primary operand resolves to no mount, M is nil and the error is
+// ErrNotExist (path) or ErrBadFD (descriptor). When only NewPath fails —
+// unmounted (ErrNotExist) or on another mount (ErrCrossDevice, as
+// rename/link across mounts is in POSIX) — M is still set, so a caller
+// can classify the request by the mount it came from before failing it.
+func (r *Router) Route(req *posix.Request) (Route, error) {
+	var rt Route
+	if req.Path == "" {
 		r.mu.RLock()
 		e, ok := r.fds[req.FD]
 		r.mu.RUnlock()
 		if !ok {
-			posix.PutRequest(fwd)
-			return posix.ErrBadFD
+			return rt, posix.ErrBadFD
 		}
-		m = e.mount
-		fwd.FD = e.backendFD
+		rt.M, rt.FD = e.mount, e.backendFD
+		return rt, nil
 	}
+	rt.M = r.Resolve(req.Path)
+	if rt.M == nil {
+		return rt, posix.ErrNotExist
+	}
+	if req.NewPath != "" {
+		switch nm := r.Resolve(req.NewPath); {
+		case nm == nil:
+			return rt, posix.ErrNotExist
+		case nm != rt.M:
+			return rt, posix.ErrCrossDevice
+		}
+	}
+	return rt, nil
+}
 
-	err := m.FS.Apply(fwd, rep)
-	posix.PutRequest(fwd)
+// ApplyRoute forwards req to rt's backend and maintains the virtual
+// descriptor table; rt must come from a Route call on req that returned
+// no error. The backend's operands — paths relative to the mount point,
+// its own descriptor for a virtual one — are written into req for the
+// duration of the call and the caller's are restored before ApplyRoute
+// returns, so forwarding copies no request.
+func (r *Router) ApplyRoute(rt Route, req *posix.Request, rep *posix.Reply) error {
+	path, newPath, fd := req.Path, req.NewPath, req.FD
+	if path != "" {
+		req.Path = relativize(rt.M, path)
+		if newPath != "" {
+			req.NewPath = relativize(rt.M, newPath)
+		}
+	} else {
+		req.FD = rt.FD
+	}
+	err := rt.M.FS.Apply(req, rep)
+	req.Path, req.NewPath, req.FD = path, newPath, fd
 	if err != nil {
 		return err
 	}
-
 	if opensFD(req.Op) {
-		r.mu.Lock()
-		vfd := r.nextFD
-		r.nextFD++
-		r.fds[vfd] = fdEntry{mount: m, backendFD: rep.FD}
-		r.mu.Unlock()
-		rep.FD = vfd // virtualize in place; the backend fd stays private
-		return nil
-	}
-	if closesFD(req.Op) {
-		r.mu.Lock()
-		delete(r.fds, req.FD)
-		r.mu.Unlock()
+		rep.FD = r.openFD(rt.M, rep.FD) // the backend fd stays private
+	} else if closesFD(req.Op) {
+		r.closeFD(req.FD)
 	}
 	return nil
 }
 
+// Apply implements posix.FileSystem: Route, then ApplyRoute.
+func (r *Router) Apply(req *posix.Request, rep *posix.Reply) error {
+	rt, err := r.Route(req)
+	if err != nil {
+		return err
+	}
+	return r.ApplyRoute(rt, req, rep)
+}
+
+// openFD registers a backend descriptor and returns its virtual one.
+//
+//lint:coldpath descriptor-table insert once per open; the map reuses its storage once grown to the peak number of open descriptors
+func (r *Router) openFD(m *Mount, backendFD int) int {
+	r.mu.Lock()
+	vfd := r.nextFD
+	r.nextFD++
+	r.fds[vfd] = fdEntry{mount: m, backendFD: backendFD}
+	r.mu.Unlock()
+	return vfd
+}
+
+// closeFD releases a virtual descriptor.
+//
+//lint:coldpath descriptor-table delete once per close; frees a slot, never allocates
+func (r *Router) closeFD(vfd int) {
+	r.mu.Lock()
+	delete(r.fds, vfd)
+	r.mu.Unlock()
+}
+
 // Mounts returns a copy of the mount table (longest prefix first).
 func (r *Router) Mounts() []Mount {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return append([]Mount(nil), r.mounts...)
 }
 

@@ -56,7 +56,9 @@ func TestResolveLongestPrefix(t *testing.T) {
 		{"/scratch/a", "scratch"},
 		{"/scratch/foo/b", "foo"},
 		{"/scratch/foo", "foo"},
-		{"/scratchy", "root"}, // prefix must match at a path boundary
+		{"/scratchy", "root"},    // prefix must match at a path boundary
+		{"scratch/foo/b", "foo"}, // unrooted paths match as if rooted
+		{"scratchy", "root"},
 	}
 	for _, c := range cases {
 		m := r.Resolve(c.path)

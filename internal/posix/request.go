@@ -96,7 +96,11 @@ type Request struct {
 	PID    int
 	Tenant string
 
-	// Issued is stamped by the shim when the request is intercepted.
+	// Issued is stamped by the shim when the request is intercepted,
+	// unless a layer above already set it. The shim stamps from the
+	// stage's amortized hot-path clock: exact under a simulated clock,
+	// coarse under the real one (it can trail the true instant by the
+	// time since the stage last sampled the clock).
 	Issued time.Time
 }
 
@@ -180,6 +184,10 @@ func (r *Reply) Reset() {
 //   - A caller that exposes a reply slice beyond its own frame (Client
 //     returning rep.Data, say) detaches it by nil-ing the field before
 //     the reply goes back in a pool.
+//   - A forwarding layer (the mount router) may rewrite req fields for
+//     the duration of the call and must restore them before returning,
+//     on every path, so the caller sees its request unchanged. Hence
+//     the same req must not be shared across concurrent Apply calls.
 type FileSystem interface {
 	// Apply executes one POSIX request into the caller-provided reply.
 	Apply(req *Request, rep *Reply) error

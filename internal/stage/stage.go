@@ -397,11 +397,13 @@ func New(info Info, clk clock.Clock, opts ...Option) *Stage {
 	return s
 }
 
-// hotNow returns the instant hot-path counters stamp events with. For
-// simulated clocks this is always the exact clock read (determinism);
-// for the real clock it is an amortized sample refreshed every
-// clockStride-th call.
-func (s *Stage) hotNow() time.Time {
+// HotNow returns the instant hot-path counters stamp events with, and
+// the one amortized clock for any other per-request stamp on the data
+// path. For simulated clocks this is always the exact clock read
+// (determinism); for the real clock it is an amortized sample refreshed
+// every clockStride-th call, so it trails the true instant by the time
+// since the last refresh.
+func (s *Stage) HotNow() time.Time {
 	if !s.realClk {
 		return s.clk.Now()
 	}
@@ -587,7 +589,7 @@ func (s *Stage) SetRate(ruleID string, rate float64) bool {
 func (s *Stage) Enforce(req *posix.Request) error {
 	e := s.snap.Load().classifyCached(req)
 	if e == nil {
-		s.passthrough.AddAt(1, s.hotNow())
+		s.passthrough.AddAt(1, s.HotNow())
 		s.markActive()
 		return nil
 	}
@@ -595,7 +597,7 @@ func (s *Stage) Enforce(req *posix.Request) error {
 
 	if Mode(s.mode.Load()) == Passthrough || e.rule.Rate == policy.Unlimited {
 		// Fast path: one clock read feeds both counters.
-		now := s.hotNow()
+		now := s.HotNow()
 		q.demand.AddAt(1, now)
 		q.admitted.AddAt(1, now)
 		s.markActive()
@@ -604,7 +606,7 @@ func (s *Stage) Enforce(req *posix.Request) error {
 
 	// Policing: reject immediately instead of queueing.
 	if e.rule.Action == policy.ActionDrop {
-		now := s.hotNow()
+		now := s.HotNow()
 		q.demand.AddAt(1, now)
 		if q.bucket.TryTake(1) {
 			q.admitted.AddAt(1, now)
@@ -668,12 +670,12 @@ func (s *Stage) Offer(req *posix.Request, n float64, dt time.Duration) float64 {
 		s.ptMu.Lock()
 		add := carry(&s.ptRem, n)
 		s.ptMu.Unlock()
-		s.passthrough.AddAt(add, s.hotNow())
+		s.passthrough.AddAt(add, s.HotNow())
 		s.markActive()
 		return n
 	}
 	q := e.q
-	now := s.hotNow()
+	now := s.HotNow()
 	q.offerMu.Lock()
 	demN := carry(&q.demRem, n)
 	q.offerMu.Unlock()
