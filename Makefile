@@ -147,7 +147,8 @@ ci:
 	$(MAKE) wire-deps
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test ./internal/posix/... ./internal/localfs/... ./internal/interpose/... ./internal/vfs/... ./internal/stage/...
+	$(GO) test ./internal/posix/... ./internal/localfs/... ./internal/interpose/... ./internal/vfs/... ./internal/stage/... \
+		./internal/rpcio/...
 	$(MAKE) race
 	$(MAKE) bench-smoke
 	$(MAKE) bench-diff

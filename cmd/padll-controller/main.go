@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"padll"
+	"padll/internal/clock"
 	"padll/internal/policy"
 )
 
@@ -108,14 +109,13 @@ func main() {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	if *report > 0 {
-		ticker := time.NewTicker(*report)
-		defer ticker.Stop()
+		clk := clock.NewReal()
 		for {
 			select {
 			case <-stop:
 				cp.Stop()
 				return
-			case <-ticker.C:
+			case <-clk.After(*report):
 				printReport(cp)
 			}
 		}

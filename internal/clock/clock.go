@@ -21,6 +21,26 @@ type Clock interface {
 	// After returns a channel that receives the then-current time once d
 	// has elapsed.
 	After(d time.Duration) <-chan time.Time
+	// NewTimer returns an armed, stoppable timer that fires after d.
+	// Unlike After, a timer stopped early holds no clock resources, and
+	// it can be re-armed with Reset instead of allocated afresh.
+	NewTimer(d time.Duration) Timer
+}
+
+// Timer is a reusable one-shot timer on a Clock. It is not safe for
+// concurrent use: one goroutine arms it, waits on C and stops it.
+type Timer interface {
+	// C delivers the then-current time once the timer expires.
+	C() <-chan time.Time
+	// Stop disarms a timer whose channel the caller has not received
+	// from since it was last armed. When Stop returns, C holds no value
+	// and none will arrive until the next Reset. Calling Stop on a timer
+	// that already delivered to the caller, or twice for one arming, is
+	// a misuse.
+	Stop()
+	// Reset re-arms a stopped timer, or one whose expiry the caller
+	// received, to fire after d.
+	Reset(d time.Duration)
 }
 
 // Real is a Clock backed by the wall clock.
@@ -37,6 +57,29 @@ func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
 // After implements Clock.
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
+
+// NewTimer implements Clock.
+func (Real) NewTimer(d time.Duration) Timer { return &realTimer{t: time.NewTimer(d)} }
+
+// realTimer is a *time.Timer under the Timer contract.
+type realTimer struct{ t *time.Timer }
+
+func (t *realTimer) C() <-chan time.Time { return t.t.C }
+
+func (t *realTimer) Stop() {
+	if !t.t.Stop() && cap(t.t.C) > 0 {
+		// Buffered timer channels (asynctimerchan=1, the semantics of
+		// modules declaring go 1.22 or older): the timer already fired,
+		// and its value is in the channel or about to be sent there.
+		// The caller never received it, so this receive cannot block
+		// for long, and it keeps a stale expiry from surviving into the
+		// next Reset. Unbuffered (Go 1.23+) timer channels guarantee
+		// that no stale value is delivered after Stop.
+		<-t.t.C
+	}
+}
+
+func (t *realTimer) Reset(d time.Duration) { t.t.Reset(d) }
 
 // Sim is a manually advanced simulated clock. Goroutines that Sleep or
 // select on After are parked in a waiter queue ordered by deadline and are
@@ -59,6 +102,7 @@ type waiter struct {
 	deadline time.Time
 	seq      int64
 	ch       chan time.Time
+	index    int // position in the heap; -1 once released or removed
 }
 
 type waiterHeap []*waiter
@@ -70,13 +114,22 @@ func (h waiterHeap) Less(i, j int) bool {
 	}
 	return h[i].deadline.Before(h[j].deadline)
 }
-func (h waiterHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *waiterHeap) Push(x interface{}) { *h = append(*h, x.(*waiter)) }
+func (h waiterHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+func (h *waiterHeap) Push(x interface{}) {
+	w := x.(*waiter)
+	w.index = len(*h)
+	*h = append(*h, w)
+}
 func (h *waiterHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
 	w := old[n-1]
 	old[n-1] = nil
+	w.index = -1
 	*h = old[:n-1]
 	return w
 }
@@ -109,6 +162,50 @@ func (s *Sim) After(d time.Duration) <-chan time.Time {
 	s.seq++
 	heap.Push(&s.waiters, &waiter{deadline: s.now.Add(d), seq: s.seq, ch: ch})
 	return ch
+}
+
+// NewTimer implements Clock. The timer parks as an ordinary waiter, so
+// Advance releases it in deadline order; Stop removes it from the queue.
+func (s *Sim) NewTimer(d time.Duration) Timer {
+	t := &simTimer{s: s, w: waiter{ch: make(chan time.Time, 1), index: -1}}
+	t.Reset(d)
+	return t
+}
+
+type simTimer struct {
+	s *Sim
+	w waiter
+}
+
+func (t *simTimer) C() <-chan time.Time { return t.w.ch }
+
+func (t *simTimer) Stop() {
+	t.s.mu.Lock()
+	defer t.s.mu.Unlock()
+	if t.w.index >= 0 {
+		heap.Remove(&t.s.waiters, t.w.index)
+		return
+	}
+	// Advance released the timer under s.mu, so its value is already in
+	// the channel: drain it.
+	select { //lint:allow lockcheck the select has a default case, so it never blocks
+	case <-t.w.ch:
+	default:
+	}
+}
+
+func (t *simTimer) Reset(d time.Duration) {
+	s := t.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if d <= 0 {
+		t.w.ch <- s.now //lint:allow lockcheck the timer is disarmed and drained, so its capacity-1 channel is empty and the send cannot block
+		return
+	}
+	s.seq++
+	t.w.deadline = s.now.Add(d)
+	t.w.seq = s.seq
+	heap.Push(&s.waiters, &t.w)
 }
 
 // Advance moves the clock forward by d, releasing every waiter whose

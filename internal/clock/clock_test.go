@@ -191,6 +191,85 @@ func TestSimConcurrentSleepersStress(t *testing.T) {
 	}
 }
 
+// timerFired reports whether tm's channel holds a value, without
+// blocking.
+func timerFired(tm Timer) bool {
+	select {
+	case <-tm.C():
+		return true
+	default:
+		return false
+	}
+}
+
+func TestSimTimerStopRemovesWaiter(t *testing.T) {
+	c := NewSim(epoch)
+	c.After(time.Hour) // an unrelated waiter keeps its place
+	tm := c.NewTimer(10 * time.Second)
+	c.After(time.Minute)
+	if n := c.PendingWaiters(); n != 3 {
+		t.Fatalf("%d waiters parked, want 3", n)
+	}
+	tm.Stop()
+	if n := c.PendingWaiters(); n != 2 {
+		t.Fatalf("%d waiters parked after Stop, want 2", n)
+	}
+	c.Advance(20 * time.Second)
+	if timerFired(tm) {
+		t.Fatal("stopped timer fired")
+	}
+	tm.Reset(5 * time.Second)
+	c.Advance(5 * time.Second)
+	select {
+	case got := <-tm.C():
+		if want := epoch.Add(25 * time.Second); !got.Equal(want) {
+			t.Fatalf("re-armed timer fired with t=%v, want %v", got, want)
+		}
+	default:
+		t.Fatal("re-armed timer never fired")
+	}
+	if d, _ := c.NextDeadline(); !d.Equal(epoch.Add(time.Minute)) {
+		t.Fatalf("NextDeadline = %v after the timer fired, want the 1m waiter", d)
+	}
+}
+
+func TestSimTimerStopAfterExpiryDrains(t *testing.T) {
+	c := NewSim(epoch)
+	tm := c.NewTimer(time.Second)
+	c.Advance(time.Second) // fires; the caller never receives
+	tm.Stop()
+	if timerFired(tm) {
+		t.Fatal("Stop left the expired value in the channel")
+	}
+	tm.Reset(time.Second)
+	if timerFired(tm) {
+		t.Fatal("a stale expiry survived Reset")
+	}
+	if n := c.PendingWaiters(); n != 1 {
+		t.Fatalf("%d waiters parked after Reset, want 1", n)
+	}
+}
+
+// TestRealTimerStopAfterExpiryDrains: a timer that fired unobserved
+// must not deliver that stale expiry after Stop and Reset, whichever
+// timer-channel semantics the module's go version selects.
+func TestRealTimerStopAfterExpiryDrains(t *testing.T) {
+	tm := NewReal().NewTimer(time.Millisecond)
+	time.Sleep(20 * time.Millisecond)
+	tm.Stop()
+	tm.Reset(time.Hour)
+	if timerFired(tm) {
+		t.Fatal("a stale expiry survived Stop and Reset")
+	}
+	tm.Stop() // armed and unobserved: returns at once
+	tm.Reset(time.Millisecond)
+	select {
+	case <-tm.C():
+	case <-time.After(2 * time.Second):
+		t.Fatal("re-armed timer never fired")
+	}
+}
+
 // waitFor polls cond until it is true or the test times out.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()

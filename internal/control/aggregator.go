@@ -609,17 +609,13 @@ func (c *Controller) treeEnabled() bool {
 func (c *Controller) buildTopology() {
 	c.mu.Lock()
 	shard := c.shardSize
-	conns := make([]StageConn, 0, len(c.stages))
-	for _, conn := range c.stages {
-		conns = append(conns, conn)
-	}
-	rev := c.registryRev
+	reg := c.registryLocked()
+	conns, rev := reg.conns, reg.rev
 	borrow, budget := c.borrow, c.borrowBudget
 	c.mu.Unlock()
 	if shard <= 0 {
 		return
 	}
-	sort.Slice(conns, func(i, j int) bool { return conns[i].Info().StageID < conns[j].Info().StageID })
 
 	built := make(map[string]AggConn)
 	for i := 0; i < len(conns); i += shard {

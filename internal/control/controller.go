@@ -27,9 +27,15 @@ const ControlRuleID = "padll-control"
 type Controller struct {
 	clk clock.Clock
 
-	mu           sync.Mutex
-	stages       map[string]StageConn // by StageID
-	reservations map[string]float64   // per-job reserved rate
+	mu     sync.Mutex
+	stages map[string]StageConn // by StageID
+	// groupSize counts registered stages per group key, so registration
+	// and departure learn a group's size without scanning the registry.
+	groupSize map[string]int
+	// reg is the copy-on-write view of stages every round reads; see
+	// registryLocked.
+	reg          *registry
+	reservations map[string]float64 // per-job reserved rate
 	clusterLimit float64
 	algorithm    Algorithm
 	// controlled is the matcher template for the feedback loop's managed
@@ -81,7 +87,7 @@ type Controller struct {
 
 	// roundMu serializes collect rounds; it single-owns the scratch
 	// below and is never held while taking mu (the fold inside takes mu
-	// briefly via noteMiss/noteOK, so the order is roundMu then mu).
+	// briefly via settleMarks, so the order is roundMu then mu).
 	roundMu sync.Mutex
 	// collectBuf/collectErr are positional per-stage scratch reused
 	// across rounds: slot i is fully overwritten each round, so a
@@ -211,6 +217,7 @@ func New(clk clock.Clock, opts ...Option) *Controller {
 	c := &Controller{
 		clk:          clk,
 		stages:       make(map[string]StageConn),
+		groupSize:    make(map[string]int),
 		reservations: make(map[string]float64),
 		controlled: policy.Matcher{Classes: []posix.Class{
 			posix.ClassMetadata, posix.ClassDirectory, posix.ClassExtAttr,
@@ -254,16 +261,22 @@ func (c *Controller) Register(conn StageConn) error {
 	id := info.StageID
 	c.mu.Lock()
 	old := c.stages[id]
+	key := c.groupBy(info)
+	switch {
+	case old == nil:
+		c.groupSize[key]++
+	case c.groupBy(old.Info()) != key:
+		// The stage came back under another group: it left the old one.
+		c.leaveGroupLocked(c.groupBy(old.Info()))
+		c.groupSize[key]++
+	}
 	c.stages[id] = conn
 	c.registryRev++
 	delete(c.misses, id)
 	alg := c.algorithm
-	key := c.groupBy(info)
 	rate, haveAlloc := 0.0, false
 	if a, ok := c.lastAlloc[key]; ok {
-		if n := len(c.stagesOfJobLocked(key)); n > 0 {
-			rate, haveAlloc = a/float64(n), true
-		}
+		rate, haveAlloc = a/float64(c.groupSize[key]), true
 	}
 	replay := c.replayRulesLocked(key)
 	c.mu.Unlock()
@@ -314,7 +327,7 @@ func (c *Controller) Register(conn StageConn) error {
 func (c *Controller) replayRulesLocked(key string) []policy.Rule {
 	var out []policy.Rule
 	if group := c.adminRules[key]; len(group) > 0 {
-		n := len(c.stagesOfJobLocked(key))
+		n := c.groupSize[key]
 		ids := make([]string, 0, len(group))
 		for rid := range group {
 			ids = append(ids, rid)
@@ -358,7 +371,7 @@ func (c *Controller) groupKey(info stage.Info) string {
 func (c *Controller) initialRate() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := len(c.jobIDsLocked())
+	n := len(c.groupSize)
 	if n == 0 {
 		n = 1
 	}
@@ -389,15 +402,10 @@ func (c *Controller) Deregister(stageID string) bool {
 	c.mu.Lock()
 	conn, ok := c.stages[stageID]
 	if ok {
-		key := c.groupBy(conn.Info())
 		delete(c.stages, stageID)
 		c.registryRev++
 		delete(c.misses, stageID)
-		if len(c.stagesOfJobLocked(key)) == 0 {
-			delete(c.lastAlloc, key)
-			delete(c.reservations, key)
-			delete(c.adminRules, key)
-		}
+		c.leaveGroupLocked(c.groupBy(conn.Info()))
 	}
 	c.mu.Unlock()
 	if ok {
@@ -406,6 +414,19 @@ func (c *Controller) Deregister(stageID string) bool {
 		_ = conn.Close()
 	}
 	return ok
+}
+
+// leaveGroupLocked drops one stage from group key's count. When the
+// group empties, its share is released: residual allocation,
+// reservation, and recorded rules are dropped.
+func (c *Controller) leaveGroupLocked(key string) {
+	if c.groupSize[key]--; c.groupSize[key] > 0 {
+		return
+	}
+	delete(c.groupSize, key)
+	delete(c.lastAlloc, key)
+	delete(c.reservations, key)
+	delete(c.adminRules, key)
 }
 
 // ErrEvicted is reported to the error handler for each stage removed by
@@ -439,8 +460,7 @@ func (c *Controller) EvictDead() []string {
 	return ids
 }
 
-// noteMiss marks one failed exchange with a stage; noteOK clears the
-// mark.
+// noteMiss marks one failed exchange with a stage.
 func (c *Controller) noteMiss(stageID string) {
 	c.mu.Lock()
 	if _, ok := c.stages[stageID]; ok {
@@ -449,56 +469,104 @@ func (c *Controller) noteMiss(stageID string) {
 	c.mu.Unlock()
 }
 
-func (c *Controller) noteOK(stageID string) {
-	c.mu.Lock()
-	delete(c.misses, stageID)
-	c.mu.Unlock()
-}
-
 // Stages returns the registered stage identities, sorted by StageID.
 func (c *Controller) Stages() []stage.Info {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]stage.Info, 0, len(c.stages))
-	for _, conn := range c.stages {
-		out = append(out, conn.Info())
+	reg := c.registryLocked()
+	c.mu.Unlock()
+	out := make([]stage.Info, len(reg.conns))
+	for i, conn := range reg.conns {
+		out[i] = conn.Info()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].StageID < out[j].StageID })
 	return out
 }
 
 // Jobs returns the distinct job IDs with at least one registered stage.
 func (c *Controller) Jobs() []string {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.jobIDsLocked()
+	reg := c.registryLocked()
+	c.mu.Unlock()
+	if len(reg.jobs) == 0 {
+		return nil
+	}
+	return append([]string(nil), reg.jobs...)
 }
 
-func (c *Controller) jobIDsLocked() []string {
-	seen := map[string]bool{}
-	var out []string
+// registry is a read-only view of the stage registry: everything a
+// round needs in the orders the determinism contract fixes. It is
+// copy-on-write — rebuilt only when registryRev moves, shared by every
+// round until then — so a steady-state round neither sorts nor scans.
+// Callers must not modify its slices.
+type registry struct {
+	rev int
+	// conns, ids and keys are positional, in StageID order: the
+	// connection, its StageID and its group key.
+	conns []StageConn
+	ids   []string
+	keys  []string
+	// byJob holds each group's connections, in StageID order; jobs the
+	// group keys, sorted.
+	byJob map[string][]StageConn
+	jobs  []string
+	// wire is every connection that accounts its traffic.
+	wire []WireStatser
+}
+
+// registryLocked returns the current registry view, rebuilding it if
+// the registry changed since it was taken. Caller must hold c.mu.
+func (c *Controller) registryLocked() *registry {
+	if c.reg != nil && c.reg.rev == c.registryRev {
+		return c.reg
+	}
+	r := &registry{
+		rev:   c.registryRev,
+		conns: make([]StageConn, 0, len(c.stages)),
+		byJob: make(map[string][]StageConn, len(c.groupSize)),
+	}
 	for _, conn := range c.stages {
-		j := c.groupBy(conn.Info())
-		if !seen[j] {
-			seen[j] = true
-			out = append(out, j)
+		r.conns = append(r.conns, conn)
+	}
+	r.ids = make([]string, len(r.conns))
+	for i, conn := range r.conns {
+		r.ids[i] = conn.Info().StageID
+	}
+	sort.Sort(byStageID{r.conns, r.ids})
+	r.keys = make([]string, len(r.conns))
+	for i, conn := range r.conns {
+		key := c.groupBy(conn.Info())
+		r.keys[i] = key
+		if _, ok := r.byJob[key]; !ok {
+			r.byJob[key] = make([]StageConn, 0, c.groupSize[key])
+			r.jobs = append(r.jobs, key)
+		}
+		r.byJob[key] = append(r.byJob[key], conn)
+		if w, ok := conn.(WireStatser); ok {
+			r.wire = append(r.wire, w)
 		}
 	}
-	sort.Strings(out)
-	return out
+	sort.Strings(r.jobs)
+	c.reg = r
+	return r
+}
+
+// byStageID sorts connections and their parallel StageIDs together.
+type byStageID struct {
+	conns []StageConn
+	ids   []string
+}
+
+func (s byStageID) Len() int           { return len(s.ids) }
+func (s byStageID) Less(i, j int) bool { return s.ids[i] < s.ids[j] }
+func (s byStageID) Swap(i, j int) {
+	s.conns[i], s.conns[j] = s.conns[j], s.conns[i]
+	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
 }
 
 // stagesOfJobLocked returns the connections serving an orchestration
-// entity (a job under the default grouping).
+// entity (a job under the default grouping), in StageID order. The
+// slice is the registry view's: read-only.
 func (c *Controller) stagesOfJobLocked(jobID string) []StageConn {
-	var out []StageConn
-	for _, conn := range c.stages {
-		if c.groupBy(conn.Info()) == jobID {
-			out = append(out, conn)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Info().StageID < out[j].Info().StageID })
-	return out
+	return c.registryLocked().byJob[jobID]
 }
 
 // ---- administrator operations (simple policies) ----
@@ -556,10 +624,7 @@ func (c *Controller) ApplyRuleToJobs(jobIDs []string, r policy.Rule) error {
 // (cluster-wide granularity), splitting the rate across all stages.
 func (c *Controller) ApplyRuleCluster(r policy.Rule) error {
 	c.mu.Lock()
-	conns := make([]StageConn, 0, len(c.stages))
-	for _, conn := range c.stages {
-		conns = append(conns, conn)
-	}
+	conns := c.registryLocked().conns
 	if len(conns) > 0 {
 		c.clusterRules[r.ID] = r
 	}
@@ -680,14 +745,11 @@ func (c *Controller) CollectAll() []JobSnapshot {
 }
 
 // roundSetup snapshots everything a collect round needs from under the
-// registry lock: the sorted connection list and copies of the maps the
-// fold reads.
-func (c *Controller) roundSetup() (conns []StageConn, reservations, lastAlloc map[string]float64, groupBy func(stage.Info) string, workers int) {
+// registry lock: the registry view and copies of the maps the fold
+// reads.
+func (c *Controller) roundSetup() (reg *registry, reservations, lastAlloc map[string]float64, workers int) {
 	c.mu.Lock()
-	conns = make([]StageConn, 0, len(c.stages))
-	for _, conn := range c.stages {
-		conns = append(conns, conn)
-	}
+	reg = c.registryLocked()
 	reservations = make(map[string]float64, len(c.reservations))
 	for k, v := range c.reservations {
 		reservations[k] = v
@@ -696,11 +758,9 @@ func (c *Controller) roundSetup() (conns []StageConn, reservations, lastAlloc ma
 	for k, v := range c.lastAlloc {
 		lastAlloc[k] = v
 	}
-	groupBy = c.groupBy
 	workers = c.collectWorkers
 	c.mu.Unlock()
-	sort.Slice(conns, func(i, j int) bool { return conns[i].Info().StageID < conns[j].Info().StageID })
-	return conns, reservations, lastAlloc, groupBy, workers
+	return reg, reservations, lastAlloc, workers
 }
 
 // roundScratch sizes the positional collect scratch for n stages.
@@ -732,34 +792,33 @@ func collectConn(conn StageConn, dst *stage.Stats) error {
 // collectRound is CollectAll plus the per-stage probes RunOnce's push
 // phase wants; rs (when non-nil) accumulates round accounting.
 func (c *Controller) collectRound(rs *RoundStats) ([]JobSnapshot, map[string]stageProbe) {
-	conns, reservations, lastAlloc, groupBy, workers := c.roundSetup()
+	reg, reservations, lastAlloc, workers := c.roundSetup()
 
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
-	buf, errs := c.roundScratch(len(conns))
-	runBounded(len(conns), workers, func(i int) {
-		errs[i] = collectConn(conns[i], &buf[i])
+	buf, errs := c.roundScratch(len(reg.conns))
+	runBounded(len(reg.conns), workers, func(i int) {
+		errs[i] = collectConn(reg.conns[i], &buf[i])
 	})
-	return c.foldCollect(conns, buf, errs, reservations, lastAlloc, groupBy, rs)
+	return c.foldCollect(reg, buf, errs, reservations, lastAlloc, rs)
 }
 
 // foldCollect aggregates a round's per-stage results (positional in
-// conns order) into per-job snapshots and per-stage probes, folding in
-// StageID order so the output is deterministic whatever the worker
+// reg.conns order) into per-job snapshots and per-stage probes, folding
+// in StageID order so the output is deterministic whatever the worker
 // interleaving was. Failures are reported, marked for eviction, and
 // skipped.
-func (c *Controller) foldCollect(conns []StageConn, buf []stage.Stats, errs []error,
-	reservations, lastAlloc map[string]float64, groupBy func(stage.Info) string,
+func (c *Controller) foldCollect(reg *registry, buf []stage.Stats, errs []error,
+	reservations, lastAlloc map[string]float64,
 	rs *RoundStats) ([]JobSnapshot, map[string]stageProbe) {
-	probes := make(map[string]stageProbe, len(conns))
+	c.settleMarks(reg.ids, errs)
+	probes := make(map[string]stageProbe, len(reg.conns))
 	agg := map[string]*JobSnapshot{}
 	failed := map[string]int{}
-	for i, conn := range conns {
-		info := conn.Info()
-		key := groupBy(info)
+	for i, id := range reg.ids {
+		key := reg.keys[i]
 		if err := errs[i]; err != nil {
-			c.onError(info.StageID, err)
-			c.noteMiss(info.StageID)
+			c.onError(id, err)
 			failed[key]++
 			if rs != nil {
 				rs.CollectCalls++
@@ -767,7 +826,6 @@ func (c *Controller) foldCollect(conns []StageConn, buf []stage.Stats, errs []er
 			}
 			continue
 		}
-		c.noteOK(info.StageID)
 		if rs != nil {
 			rs.CollectCalls++
 		}
@@ -807,7 +865,7 @@ func (c *Controller) foldCollect(conns []StageConn, buf []stage.Stats, errs []er
 				}
 			}
 		}
-		probes[info.StageID] = probe
+		probes[id] = probe
 	}
 	out := make([]JobSnapshot, 0, len(agg))
 	for key, s := range agg {
@@ -816,6 +874,23 @@ func (c *Controller) foldCollect(conns []StageConn, buf []stage.Stats, errs []er
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].JobID < out[j].JobID })
 	return out, probes
+}
+
+// settleMarks applies one collect round's outcomes to the eviction
+// marks under a single lock acquisition: a failed exchange adds a mark
+// to a still-registered stage, a successful one clears it.
+func (c *Controller) settleMarks(ids []string, errs []error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, id := range ids {
+		if errs[i] != nil {
+			if _, ok := c.stages[id]; ok {
+				c.misses[id]++
+			}
+		} else if len(c.misses) > 0 {
+			delete(c.misses, id)
+		}
+	}
 }
 
 // RoundStats is one RunOnce iteration's accounting: how many round
@@ -869,12 +944,7 @@ func (c *Controller) LastRound() (rs RoundStats, ok bool) {
 // difference of two samples.
 func (c *Controller) wireSample() ([]WireStatser, []rpcio.WireStats) {
 	c.mu.Lock()
-	var ws []WireStatser
-	for _, conn := range c.stages {
-		if w, ok := conn.(WireStatser); ok {
-			ws = append(ws, w)
-		}
-	}
+	ws := c.registryLocked().wire
 	c.mu.Unlock()
 	before := make([]rpcio.WireStats, len(ws))
 	for i, w := range ws {
@@ -892,25 +962,22 @@ type pushPlan struct {
 }
 
 // buildPushPlans materializes the per-stage push intents for an
-// allocation, in sorted job order (stagesOfJobLocked already sorts
+// allocation, in sorted job order (the registry view already sorts
 // within a job): a crash mid-push then partitions the fleet the same
 // way on every same-seed run, which the chaos determinism tests rely
 // on.
 func (c *Controller) buildPushPlans(alloc map[string]float64) []pushPlan {
 	c.mu.Lock()
-	plansByJob := make(map[string][]StageConn, len(alloc))
-	for jobID := range alloc {
-		plansByJob[jobID] = c.stagesOfJobLocked(jobID)
-	}
+	reg := c.registryLocked()
 	c.mu.Unlock()
-	jobIDs := make([]string, 0, len(plansByJob))
-	for jobID := range plansByJob {
+	jobIDs := make([]string, 0, len(alloc))
+	for jobID := range alloc {
 		jobIDs = append(jobIDs, jobID)
 	}
 	sort.Strings(jobIDs)
-	var plans []pushPlan
+	plans := make([]pushPlan, 0, len(reg.conns))
 	for _, jobID := range jobIDs {
-		conns := plansByJob[jobID]
+		conns := reg.byJob[jobID]
 		if len(conns) == 0 {
 			continue
 		}
@@ -1130,7 +1197,8 @@ func (c *Controller) runOncePipelined() map[string]float64 {
 		planBy[p.stageID] = p
 	}
 
-	conns, reservations, lastAlloc, groupBy, workers := c.roundSetup()
+	reg, reservations, lastAlloc, workers := c.roundSetup()
+	conns := reg.conns
 
 	type fusedOutcome struct {
 		pushErr error
@@ -1143,7 +1211,7 @@ func (c *Controller) runOncePipelined() map[string]float64 {
 	buf, errs := c.roundScratch(len(conns))
 	runBounded(len(conns), workers, func(i int) {
 		conn := conns[i]
-		id := conn.Info().StageID
+		id := reg.ids[i]
 		p, hasPlan := planBy[id]
 		out := &outcomes[i]
 		bc, batched := conn.(BatchConn)
@@ -1187,12 +1255,12 @@ func (c *Controller) runOncePipelined() map[string]float64 {
 			out.ops++
 		}
 	})
-	snaps, probes := c.foldCollect(conns, buf, errs, reservations, lastAlloc, groupBy, &rs)
+	snaps, probes := c.foldCollect(reg, buf, errs, reservations, lastAlloc, &rs)
 	c.roundMu.Unlock()
 
 	// Fold fused outcomes in sorted (conns) order, mirroring the
 	// two-phase loop's determinism contract.
-	for i, conn := range conns {
+	for i, id := range reg.ids {
 		o := outcomes[i]
 		rs.PushCalls += o.calls
 		rs.PushOps += o.ops
@@ -1201,7 +1269,6 @@ func (c *Controller) runOncePipelined() map[string]float64 {
 			continue
 		}
 		if o.pushErr != nil {
-			id := conn.Info().StageID
 			c.onError(id, o.pushErr)
 			c.noteMiss(id)
 		}

@@ -506,3 +506,79 @@ func TestGroupByUserSharesOneAllocation(t *testing.T) {
 		t.Errorf("snapshots = %+v", snaps)
 	}
 }
+
+// ctlLimit reads the managed control queue's enforced limit.
+func ctlLimit(t *testing.T, stg *stage.Stage) float64 {
+	t.Helper()
+	for _, q := range stg.Collect().Queues {
+		if q.RuleID == ControlRuleID {
+			return q.Limit
+		}
+	}
+	t.Fatalf("stage %s has no control queue", stg.Info().StageID)
+	return 0
+}
+
+// TestRegistryViewFollowsRegistryChanges: rounds read a copy-on-write
+// view of the registry. Every registration and departure must show in
+// the next read, in StageID order, and a caller's copy must not alias
+// the view.
+func TestRegistryViewFollowsRegistryChanges(t *testing.T) {
+	clk := clock.NewSim(epoch)
+	c := New(clk, WithAlgorithm(FixedRates{}), WithClusterLimit(1e6))
+	c.SetReservation("jobA", 100)
+	c.SetReservation("jobB", 40)
+	stgs := map[string]*stage.Stage{}
+	for _, s := range []struct{ id, job string }{{"s3", "jobB"}, {"s2", "jobA"}, {"s1", "jobA"}} {
+		stg, conn := localStage(s.id, s.job, clk)
+		stgs[s.id] = stg
+		if err := c.Register(conn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := func() []string {
+		var out []string
+		for _, info := range c.Stages() {
+			out = append(out, info.StageID)
+		}
+		return out
+	}
+	if got := ids(); len(got) != 3 || got[0] != "s1" || got[1] != "s2" || got[2] != "s3" {
+		t.Fatalf("Stages = %v, want [s1 s2 s3]", got)
+	}
+	jobs := c.Jobs()
+	jobs[0] = "clobbered"
+	if got := c.Jobs(); len(got) != 2 || got[0] != "jobA" || got[1] != "jobB" {
+		t.Fatalf("Jobs = %v after a caller modified its copy", got)
+	}
+
+	c.RunOnce()
+	if got := ctlLimit(t, stgs["s1"]); got != 50 {
+		t.Errorf("s1 limit = %v, want 50 (jobA's 100 split over two stages)", got)
+	}
+
+	// A departure shrinks the group the next round splits across.
+	if !c.Deregister("s2") {
+		t.Fatal("Deregister(s2) = false")
+	}
+	c.RunOnce()
+	if got := ctlLimit(t, stgs["s1"]); got != 100 {
+		t.Errorf("s1 limit = %v after s2 left, want 100", got)
+	}
+
+	// The group's sole stage restarting under its ID keeps the group's
+	// reservation and resumes the last allocation.
+	stg, conn := localStage("s1", "jobA", clk)
+	if err := c.Register(conn); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctlLimit(t, stg); got != 100 {
+		t.Errorf("re-registered s1 limit = %v, want the frozen 100", got)
+	}
+	if got := c.RunOnce()["jobA"]; got != 100 {
+		t.Errorf("jobA allocation = %v after its stage restarted, want its reservation 100", got)
+	}
+	if got := ids(); len(got) != 2 || got[0] != "s1" || got[1] != "s3" {
+		t.Fatalf("Stages = %v, want [s1 s3]", got)
+	}
+}

@@ -11,10 +11,11 @@ import (
 // read from an injected clock.Clock, so the same code runs unchanged
 // against the wall clock and against internal/clock's simulated clock.
 // time.Since is banned alongside Now/Sleep/After because it is wall-clock
-// Now in disguise.
+// Now in disguise, and NewTimer/AfterFunc/Tick because they are After
+// in disguise.
 var ClockCheck = &Analyzer{
 	Name: "clockcheck",
-	Doc:  "direct time.Now/Sleep/After/Since calls bypass the injected clock.Clock",
+	Doc:  "direct time.Now/Sleep/After/Since/NewTimer/AfterFunc/Tick calls bypass the injected clock.Clock",
 	Run:  runClockCheck,
 }
 
@@ -25,6 +26,10 @@ var bannedTimeFuncs = map[string]string{
 	"Sleep": "clock.Clock.Sleep()",
 	"After": "clock.Clock.After()",
 	"Since": "clock.Clock.Now().Sub(t)",
+	// Timers wait on the wall clock just as After does.
+	"NewTimer":  "clock.Clock.NewTimer()",
+	"AfterFunc": "clock.Clock.NewTimer()",
+	"Tick":      "clock.Clock.After() in a loop",
 }
 
 func runClockCheck(pass *Pass) {

@@ -138,7 +138,7 @@ func TestFixturesSeedViolations(t *testing.T) {
 		fixture string
 		minimum int
 	}{
-		{ClockCheck, "clockfix", 5},
+		{ClockCheck, "clockfix", 8},
 		{LockCheck, "lockfix", 6},
 		{ErrDrop, "errfix", 4},
 		{PrintCheck, "printfix", 4},

@@ -15,6 +15,12 @@ func bad() time.Duration {
 	return time.Since(start)       // want `direct time\.Since call`
 }
 
+func timers() {
+	t := time.NewTimer(time.Millisecond)                  // want `direct time\.NewTimer call`
+	time.AfterFunc(time.Millisecond, func() { t.Stop() }) // want `direct time\.AfterFunc call`
+	<-time.Tick(time.Millisecond)                         // want `direct time\.Tick call`
+}
+
 func aliased() time.Time {
 	return stdtime.Now() // want `direct time\.Now call`
 }

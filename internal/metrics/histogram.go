@@ -151,7 +151,9 @@ func (h *Histogram) quantileLocked(q float64) float64 {
 		cum += c
 		if cum >= rank {
 			if i < len(h.bounds) {
-				return h.bounds[i]
+				// A bucket's upper bound can lie above every sample in
+				// it; no quantile may exceed the largest sample.
+				return math.Min(h.bounds[i], h.max)
 			}
 			return h.max
 		}

@@ -17,8 +17,9 @@ var ErrInjectedFailure = errors.New("rpcio: injected connection failure")
 // counter-based (every Nth chunk), so a single-connection exchange
 // misbehaves identically on every run; waits run on the injected clock.
 //
-// The frame transports write one whole frame per Write, so "chunk" here
-// is a message for the purposes of dropping, duplicating, and delaying.
+// The frame transports write whole frames per Write (server replies are
+// coalesced), so "chunk" here is one or more whole messages for the
+// purposes of dropping, duplicating, and delaying.
 type Flakiness struct {
 	// DropEvery silently discards every Nth written chunk (0 = never):
 	// the peer keeps waiting for a message that never arrives, which is

@@ -14,9 +14,9 @@
 // kills the whole connection (completing every pending call with the
 // error), and the next call redials under seeded backoff. RemoteError
 // — the peer answered with an application error — is returned without
-// retry. Frames are written with a single Write call, so fault
-// injectors operating at write granularity (FlakyConn) drop or
-// duplicate whole frames, never fragments.
+// retry. Every Write carries whole frames (server replies are
+// coalesced), so fault injectors operating at write granularity
+// (FlakyConn) drop or duplicate whole frames, never fragments.
 package rpcio
 
 import (
@@ -41,6 +41,20 @@ type frameCall struct {
 	buf  []byte // reply payload (reused)
 	wbuf []byte // request frame assembly (reused)
 	err  error
+	// deadline is the call's timeout timer, created on the call's first
+	// use and re-armed per round trip. It is stopped as soon as the
+	// reply lands, so a pooled call holds no live timer between uses.
+	deadline clock.Timer
+}
+
+// armDeadline starts the call's timeout on clk.
+func (c *frameCall) armDeadline(clk clock.Clock, d time.Duration) clock.Timer {
+	if c.deadline == nil {
+		c.deadline = clk.NewTimer(d)
+	} else {
+		c.deadline.Reset(d)
+	}
+	return c.deadline
 }
 
 // frameConn is one multiplexed connection shared by every transport
@@ -402,9 +416,13 @@ func (t *frameTransport) ensureConn() (*frameConn, error) {
 
 // frameStart resets b to a frame assembly buffer: empty payload after a
 // zeroed frameHeaderLen gap the sender patches before writing.
-func frameStart(b []byte) []byte {
+func frameStart(b []byte) []byte { return appendFrameGap(b[:0]) }
+
+// appendFrameGap appends a zeroed frameHeaderLen gap to b, the start of
+// one more frame in a buffer that may already hold others.
+func appendFrameGap(b []byte) []byte {
 	var zero [frameHeaderLen]byte
-	return append(b[:0], zero[:]...)
+	return append(b, zero[:]...)
 }
 
 // roundTrip sends the frame assembled in call.wbuf (a frameHeaderLen
@@ -438,9 +456,11 @@ func (t *frameTransport) roundTrip(fc *frameConn, call *frameCall, m Method, cha
 	t.bytesWritten.Add(uint64(len(frame)))
 
 	if t.timeout > 0 {
+		deadline := call.armDeadline(t.clk, t.timeout)
 		select {
 		case <-call.ch:
-		case <-t.clk.After(t.timeout):
+			deadline.Stop()
+		case <-deadline.C():
 			fc.kill(fmt.Errorf("rpcio: %s: %v deadline %v exceeded", t.addr, m, t.timeout))
 			<-call.ch // kill (or the racing reader) completes the call
 			if call.err == nil {

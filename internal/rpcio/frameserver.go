@@ -7,13 +7,15 @@
 // with the stage ID as payload). Each accepted connection is served by
 // one goroutine that processes frames strictly in arrival order —
 // requests pipeline (a client may have many in flight; none waits for a
-// network round trip behind another) but replies never reorder, and
-// the per-connection decode buffers and reply structs are reused across
-// frames, so a steady-state collect allocates nothing on the server
-// side either.
+// network round trip behind another) but replies never reorder. Input
+// is buffered and replies are coalesced into whole frames per Write
+// (see serveFrameConn), and the per-connection decode buffers and reply
+// structs are reused across frames, so a steady-state collect allocates
+// nothing on the server side either.
 package rpcio
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -126,7 +128,9 @@ func (fs *FrameServer) attach(stageID string) (uint32, bool) {
 type frameSession struct {
 	hdr     [frameHeaderLen]byte
 	payload []byte
-	wbuf    []byte
+	// out holds encoded replies not yet written: whole frames, in
+	// request order.
+	out []byte
 
 	probeArgs     HealthProbe
 	batchArgs     BatchArgs
@@ -140,13 +144,35 @@ type frameSession struct {
 	aggRndReply  AggRoundReply
 }
 
+const (
+	// frameReadBuf sizes a connection's input buffer: room for a few
+	// hundred pipelined collect requests per read.
+	frameReadBuf = 16 << 10
+	// frameFlushCap bounds the replies a connection holds back while
+	// more requests are already buffered.
+	frameFlushCap = 64 << 10
+)
+
 // serveFrameConn runs one connection's frame loop until the connection
-// dies. Frames are handled in order; each reply is written with a
-// single Write so write-granular fault injection drops whole frames.
+// dies. Frames are handled strictly in order. Replies are coalesced:
+// each is appended to the session's output buffer, which goes out in
+// one Write whenever the buffered input holds no further complete
+// request (the next read may block, so nothing may wait behind it) or
+// the buffer passes frameFlushCap. A pipelined burst of requests thus
+// costs one read and one write per buffer-full, not two reads and a
+// write per frame, and every Write still carries whole frames, so
+// write-granular fault injection drops or duplicates whole frames.
 func (fs *FrameServer) serveFrameConn(conn net.Conn) {
 	var s frameSession
+	br := bufio.NewReaderSize(conn, frameReadBuf)
 	for {
-		if _, err := io.ReadFull(conn, s.hdr[:]); err != nil {
+		if len(s.out) > 0 && (len(s.out) >= frameFlushCap || !requestBuffered(br)) {
+			if _, err := conn.Write(s.out); err != nil {
+				return
+			}
+			s.out = s.out[:0]
+		}
+		if _, err := io.ReadFull(br, s.hdr[:]); err != nil {
 			return // peer hung up (or the listener stopped and closed us)
 		}
 		h, err := parseFrameHeader(s.hdr[:])
@@ -157,31 +183,46 @@ func (fs *FrameServer) serveFrameConn(conn net.Conn) {
 			s.payload = make([]byte, h.length)
 		}
 		s.payload = s.payload[:h.length]
-		if _, err := io.ReadFull(conn, s.payload); err != nil {
+		if _, err := io.ReadFull(br, s.payload); err != nil {
 			return
 		}
 		if h.kind != frameRequest {
 			return // a client must only send requests
 		}
-		reply := frameStart(s.wbuf)
+		start := len(s.out)
+		reply := appendFrameGap(s.out)
 		kind := frameReply
 		if h.method == methodAttach {
 			reply, kind = fs.handleAttach(s.payload, reply)
 		} else {
 			reply, kind = fs.handleCall(&s, h, reply)
 		}
-		s.wbuf = reply
-		putFrameHeader(reply[:frameHeaderLen], frameHeader{
+		s.out = reply
+		putFrameHeader(reply[start:start+frameHeaderLen], frameHeader{
 			kind:    kind,
 			method:  h.method,
 			stream:  h.stream,
 			channel: h.channel,
-			length:  uint32(len(reply) - frameHeaderLen),
+			length:  uint32(len(reply) - start - frameHeaderLen),
 		})
-		if _, err := conn.Write(reply); err != nil {
-			return
-		}
 	}
+}
+
+// requestBuffered reports whether br already holds a whole frame, so
+// the next request can be served without touching the socket. A
+// malformed header counts as not buffered: the pending replies go out
+// before the frame loop reads it and fails.
+func requestBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < frameHeaderLen {
+		return false
+	}
+	hdr, err := br.Peek(frameHeaderLen)
+	if err != nil {
+		return false
+	}
+	h, err := parseFrameHeader(hdr)
+	return err == nil && n >= frameHeaderLen+int(h.length)
 }
 
 // handleAttach resolves a stage ID to its channel.
@@ -201,8 +242,11 @@ func appendUvarintPayload(reply []byte, v uint64) []byte {
 	return binary.AppendUvarint(reply, v)
 }
 
-// handleCall decodes, dispatches, and encodes one service method.
+// handleCall decodes, dispatches, and encodes one service method,
+// appending the reply payload to reply (whose tail is the reply's
+// header gap).
 func (fs *FrameServer) handleCall(s *frameSession, h frameHeader, reply []byte) ([]byte, uint8) {
+	base := len(reply)
 	tgt, ok := fs.lookup(h.channel)
 	if !ok {
 		return appendErrorPayload(reply, fmt.Sprintf("rpcio: no service on channel %d", h.channel)), frameError
@@ -220,7 +264,7 @@ func (fs *FrameServer) handleCall(s *frameSession, h frameHeader, reply []byte) 
 		out, err = handleRegistrarCall(tgt.reg, s, h, reply)
 	}
 	if err != nil {
-		return appendErrorPayload(reply[:frameHeaderLen], err.Error()), frameError
+		return appendErrorPayload(reply[:base], err.Error()), frameError
 	}
 	return out, frameReply
 }

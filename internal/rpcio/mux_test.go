@@ -69,7 +69,7 @@ func (l *killSwitchListener) Accept() (net.Conn, error) {
 // muxFleet serves n stages behind one ServeMux listener (wrapped by
 // wrap, if non-nil) and dials one handle per stage, all sharing one
 // private dialer pool.
-func muxFleet(t *testing.T, n int, wrap func(net.Listener) net.Listener, opts ...DialOption) ([]*stage.Stage, []*StageHandle, net.Listener) {
+func muxFleet(t testing.TB, n int, wrap func(net.Listener) net.Listener, opts ...DialOption) ([]*stage.Stage, []*StageHandle, net.Listener) {
 	t.Helper()
 	clk := clock.NewSim(epoch)
 	fs := NewFrameServer()

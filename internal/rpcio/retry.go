@@ -2,7 +2,6 @@ package rpcio
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 
 	"padll/internal/clock"
@@ -54,61 +53,41 @@ func (b Backoff) withDefaults() Backoff {
 }
 
 // Delays materializes the full retry-delay sequence (Attempts-1 entries),
-// jitter included. For a given Backoff value the result is always the
-// same slice: the schedule is a pure function of its fields.
+// jitter included, by draining the same retrier a call sleeps on. For a
+// given Backoff value the result is always the same slice: the schedule
+// is a pure function of its fields.
 func (b Backoff) Delays() []time.Duration {
-	b = b.withDefaults()
-	if b.Attempts <= 1 {
+	r := newRetrier(b)
+	if r.remain <= 0 {
 		return nil
 	}
-	rng := rand.New(rand.NewSource(b.Seed))
-	delays := make([]time.Duration, 0, b.Attempts-1)
-	d := b.Base
-	for i := 0; i < b.Attempts-1; i++ {
-		step := d
-		if step > b.Max {
-			step = b.Max
-		}
-		if b.Jitter > 0 {
-			step += time.Duration(b.Jitter * float64(step) * rng.Float64())
-		}
-		delays = append(delays, step)
-		d = time.Duration(float64(d) * b.Factor)
-		if d > b.Max {
-			d = b.Max
-		}
+	delays := make([]time.Duration, 0, r.remain)
+	for d, ok := r.delay(); ok; d, ok = r.delay() {
+		delays = append(delays, d)
 	}
 	return delays
 }
 
-// retrier hands out one backoff schedule's delays sequentially; it exists
-// so a long-lived StageHandle can restart the schedule per logical
-// operation while drawing jitter from one seeded stream.
+// retrier hands out one backoff schedule's delays sequentially. It is a
+// plain value owned by one logical operation (one Call, one Retry), so
+// it needs no lock, and the jitter PRNG is seeded only when the first
+// jittered delay is drawn: a call that succeeds on its first attempt —
+// the steady state — never pays for the generator.
 type retrier struct {
-	mu     sync.Mutex
 	b      Backoff
 	rng    *rand.Rand
 	next   time.Duration
 	remain int
 }
 
-func newRetrier(b Backoff) *retrier {
+func newRetrier(b Backoff) retrier {
 	b = b.withDefaults()
-	return &retrier{b: b, rng: rand.New(rand.NewSource(b.Seed)), next: b.Base, remain: b.Attempts - 1}
-}
-
-func (r *retrier) reset() {
-	r.mu.Lock()
-	r.next = r.b.Base
-	r.remain = r.b.Attempts - 1
-	r.mu.Unlock()
+	return retrier{b: b, next: b.Base, remain: b.Attempts - 1}
 }
 
 // delay returns the next backoff delay and true, or false when the
 // attempt budget is spent.
 func (r *retrier) delay() (time.Duration, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.remain <= 0 {
 		return 0, false
 	}
@@ -118,6 +97,9 @@ func (r *retrier) delay() (time.Duration, bool) {
 		step = r.b.Max
 	}
 	if r.b.Jitter > 0 {
+		if r.rng == nil {
+			r.rng = rand.New(rand.NewSource(r.b.Seed))
+		}
 		step += time.Duration(r.b.Jitter * float64(step) * r.rng.Float64())
 	}
 	r.next = time.Duration(float64(r.next) * r.b.Factor)

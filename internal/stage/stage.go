@@ -629,14 +629,19 @@ func (s *Stage) Enforce(req *posix.Request) error {
 	// behind a quiescence token the whole time.
 	s.markActive()
 	err := q.bucket.Wait(1)
-	q.waiting.Add(-1)
 	if err != nil {
+		q.waiting.Add(-1)
 		s.markActive()
 		return err
 	}
 	end := s.clk.Now()
 	q.latency.Observe(end.Sub(start))
 	q.admitted.AddAt(1, end)
+	// Leave the queue only once the admission and the wait sample have
+	// landed: a collect that reads waiting == 0 (it reads waiting before
+	// the counters) then also sees them, so it cannot vouch for a
+	// snapshot the release is about to change.
+	q.waiting.Add(-1)
 	s.markActive()
 	return nil
 }
@@ -747,13 +752,16 @@ func (s *Stage) CollectQuietInto(out *Stats) uint64 {
 	quiet := !out.Degraded
 	for _, e := range sn.collect {
 		q := e.q
+		// In-flight waiters will observe a latency sample and an
+		// admission on release, with no new arrival to signal it. A
+		// waiter leaves the count only after both land, so reading the
+		// count first means a released waiter's admission is in the
+		// reads below.
+		waiting := int(q.waiting.Load())
 		totalAdm, thrRate, admQuiet := q.admitted.CollectAt(now)
 		dropped := q.dropped.Load()
 		totalDem, demRate, demQuiet := q.demand.CollectAt(now)
 		p50, p95, p99 := q.latency.Quantiles3(0.50, 0.95, 0.99)
-		waiting := int(q.waiting.Load())
-		// In-flight waiters will observe a latency sample and an
-		// admission on release, with no new arrival to signal it.
 		quiet = quiet && admQuiet && demQuiet && waiting == 0
 		out.Queues = append(out.Queues, QueueStats{
 			RuleID:         e.rule.ID,
